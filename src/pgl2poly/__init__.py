@@ -2,15 +2,16 @@
 group elements, the rational transformations generating every invariant,
 and exact invariant counts with independent brute-force oracles."""
 
-from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, element_of_mult_order,
-                     embed, frobenius_q, is_square, make_ext, make_field,
-                     smallest_nonsquare, try_descend)
+from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, artin_schreier_root,
+                     element_of_mult_order, embed, frobenius_q, is_square,
+                     make_ext, make_field, smallest_nonsquare, sqrt,
+                     try_descend)
 from .polynomials import (Poly, compose, derivative, divides, divrem,
                           enumerate_monic_irreducibles, gcd, is_irreducible,
                           monic_polys, monicize, pow_mod, reciprocal, to_text)
-from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Mat2, ProjMat,
-                         ReducedForm, TypeInfo, all_classes, classify,
-                         element_of_order, power_closed_form, proj_canonical,
+from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
+                         Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
+                         classify, element_of_order, power_closed_form,
                          proj_eq, reduce, reduced_type1, reduced_type2,
                          reduced_type3, reduced_type4, sigma_product)
 from .action import (F_poly, act, criterion_invariant, group_invariant,

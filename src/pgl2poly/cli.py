@@ -3,7 +3,8 @@
 Matrices and field elements travel as integer encodings (base-p digits,
 constant coordinate least significant); polynomials are printed both as
 text and as coefficient-encoding lists.  Exit codes: 0 success, 1 property
-or agreement failure, 2 usage or validation error.
+or agreement failure or a failed internal check, 2 usage or validation
+error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import sys
 
 from .fields import make_field
 from .polynomials import to_text
-from .projective import IDENTITY, Mat2, ProjMat, classify, reduce
+from .projective import (IDENTITY, ContractError, Mat2, ProjMat, classify,
+                         reduce)
 from .action import is_invariant
 from .rational import generate_invariants, q_map, substitute_mobius
 from .counting import (count_invariants_bruteforce, count_invariants_formula,
@@ -233,6 +235,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ContractError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

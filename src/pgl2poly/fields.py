@@ -26,15 +26,16 @@ class FieldSpec:
         self.s = s
         self.order = p**s
         self.modulus = modulus
-        self._hash = hash(("FieldSpec", p, s))
+        self._hash = hash(("FieldSpec", p, s, modulus))
         # x^s = -(m_0 + m_1 x + ... + m_{s-1} x^{s-1}) drives reduction in mul
         self._redtail = tuple((-m) % p for m in modulus[:s])
         self.zero = Felt(self, (0,) * s)
         self.one = Felt(self, (1,) + (0,) * (s - 1))
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, FieldSpec)
-                                 and (self.p, self.s) == (other.p, other.s))
+        return self is other or (
+            isinstance(other, FieldSpec)
+            and (self.p, self.s, self.modulus) == (other.p, other.s, other.modulus))
 
     def __hash__(self):
         return self._hash
@@ -84,7 +85,8 @@ class Felt:
 
     def _check(self, other):
         if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError(f"mixed field specs: {self.spec} vs {other.spec}")
+            raise ValueError(f"mixed field specs: {self.spec.describe()} vs "
+                             f"{other.spec.describe()}")
 
     def __add__(self, other: "Felt") -> "Felt":
         self._check(other)
@@ -396,6 +398,66 @@ def make_ext(spec: FieldSpec) -> ExtSpec:
         return ExtSpec(spec, beta, spec.one)          # x^2 + x + beta
     beta = smallest_nonsquare(spec)
     return ExtSpec(spec, -beta, spec.zero)            # x^2 - beta
+
+
+# ---------------------------------------------------------------------------
+# quadratic equations over GF(q) in O(log q) operations
+
+def sqrt(x: Felt) -> Optional[Felt]:
+    """A square root of x, or None when x is not a square.
+
+    Odd q: Tonelli-Shanks (Shanks 1973) seeded with the non-square of
+    make_ext.  Even q: squaring is a bijection and x^(q/2) is its inverse.
+    """
+    spec = x.spec
+    if spec.p == 2:
+        return x ** (spec.order // 2)
+    if not x:
+        return x
+    odd, m = spec.order - 1, 0            # q - 1 = odd * 2^m
+    while odd % 2 == 0:
+        odd //= 2
+        m += 1
+    one = spec.one
+    c = (-make_ext(spec).m0) ** odd       # generates the 2-Sylow subgroup
+    t = x ** odd
+    r = x ** ((odd + 1) // 2)             # r^2 = x * t throughout
+    while t != one:
+        i, t2 = 0, t                      # find the order 2^i of t
+        while t2 != one:
+            t2 = t2 * t2
+            i += 1
+            if i == m:
+                return None               # order 2^m: x is a non-square
+        b = c
+        for _ in range(m - i - 1):
+            b = b * b
+        m, c = i, b * b
+        t, r = t * c, r * b
+    return r
+
+
+def artin_schreier_root(t: Felt) -> Optional[Felt]:
+    """A solution y of y^2 + y = t in GF(2^s), or None when Tr(t) = 1 and
+    there is none.
+
+    y = sum_{i=1}^{s-1} (sum_{j=0}^{i-1} delta^(2^j)) t^(2^i) for delta of
+    trace 1 (the beta of make_ext): telescoping gives y^2 + y =
+    t + delta*Tr(t) (Lidl-Niederreiter, Finite Fields, ch. 2).
+    """
+    spec = t.spec
+    if spec.p != 2:
+        raise ValueError("Artin-Schreier roots are for characteristic 2")
+    d = make_ext(spec).m0                 # delta^(2^(i-1))
+    partial = spec.zero                   # sum_{j<i} delta^(2^j)
+    tp = t                                # t^(2^(i-1))
+    y = spec.zero
+    for _ in range(1, spec.s):
+        partial = partial + d
+        d = d * d
+        tp = tp * tp
+        y = y + partial * tp
+    return y if y * y + y == t else None
 
 
 def embed(x: Felt) -> ExtElt:

@@ -15,12 +15,21 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import linalg
-from .fields import (ExtElt, Felt, FieldSpec, element_of_mult_order, embed,
-                     frobenius_q, make_ext, try_descend)
+from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
+                     element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
+                     try_descend)
 from .numutil import divisors
 from .polynomials import Poly
 
 IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4 = 0, 1, 2, 3, 4
+
+
+class ContractError(Exception):
+    """An internal check failed: the program, not its input, is at fault.
+
+    Raised explicitly so the check survives python -O; deliberately not a
+    ValueError, which the command line reports as invalid input.
+    """
 
 
 class Mat2:
@@ -172,9 +181,6 @@ class ProjMat:
         return f"[{self.rep!r}]"
 
 
-def proj_canonical(m: Mat2) -> ProjMat:
-    return ProjMat(m)
-
 def proj_eq(m1: Mat2, m2: Mat2) -> bool:
     return ProjMat(m1) == ProjMat(m2)
 
@@ -214,8 +220,30 @@ class ReducedForm:
 
 
 def _roots_in_field(f: Poly) -> list[Felt]:
-    zero = f.ring.zero
-    return [x for x in f.ring.elements() if f(x) == zero]
+    """Roots in GF(q) of the monic quadratic f, in encoding order (type 1
+    with ratio -1 takes the first as its eigenvalue)."""
+    spec = f.ring
+    c0, c1 = f.coeffs[0], f.coeffs[1]
+    if spec.p == 2:
+        if not c1:
+            roots = [sqrt(c0)]                          # x^2 = c0: double root
+        else:
+            y = artin_schreier_root(c0 / (c1 * c1))    # x = c1*y
+            roots = [] if y is None else [c1 * y, c1 * y + c1]
+    else:
+        half = spec.from_encoding((spec.p + 1) // 2)   # 1/2 lies in GF(p)
+        r = sqrt(c1 * c1 - (c0 + c0 + c0 + c0))
+        if r is None:
+            roots = []
+        elif not r:
+            roots = [-c1 * half]
+        else:
+            roots = [(r - c1) * half, -(r + c1) * half]
+    roots.sort(key=Felt.encode)
+    for x in roots:
+        if f(x):
+            raise ContractError(f"{x!r} is not a root of {f!r}")
+    return roots
 
 
 def classify(m: Mat2) -> TypeInfo:
@@ -242,14 +270,31 @@ def _eigenvector(m: Mat2, lam: Felt) -> tuple[Felt, Felt]:
     v = (m.b, lam - m.a)
     if not v[0] and not v[1]:
         v = (lam - m.d, m.c)
-    assert v[0] or v[1]
+    if not v[0] and not v[1]:
+        raise ContractError(f"{lam!r} is not an eigenvalue of {m!r}")
     return v
 
 
+def _invertible(a: Felt, b: Felt, c: Felt, d: Felt) -> Mat2:
+    if a * d == b * c:
+        raise ContractError("conjugator is singular")
+    return Mat2(a, b, c, d)
+
+
 def _min_encoding_conjugator(scaled: Mat2, target: Mat2) -> Mat2:
-    """Minimal-encoding invertible P with scaled*P = P*target; the two
-    matrices share an irreducible characteristic polynomial, so the kernel
-    of the matching system has dimension 2."""
+    """Minimal-encoding invertible P with scaled*P = P*target.
+
+    The two matrices share an irreducible characteristic polynomial, so the
+    solutions form a 2-dimensional space V whose nonzero members are all
+    invertible (the maps commuting with an irreducible action form a field).
+    The encoding reads the entries (a, b, c, d) as base-q digits with d most
+    significant.  Let k be the highest index at which V has a nonzero entry:
+    the solutions vanishing at k form a line spanned by w (one elimination
+    step on a basis), and every other solution has a nonzero digit k, so
+    the minimum lies on that line.  Its points t*w differ first in the
+    leading nonzero entry of w, and t = 1/(that entry) makes it 1, the
+    least nonzero digit.
+    """
     spec = scaled.spec
     s_a, s_b, s_c, s_d = scaled.entries()
     r_a, r_b, r_c, r_d = target.entries()
@@ -261,36 +306,45 @@ def _min_encoding_conjugator(scaled: Mat2, target: Mat2) -> Mat2:
         [zero, s_c, -r_b, s_d - r_d],
     ]
     basis = linalg.nullspace(spec, rows)
-    assert len(basis) == 2, "conjugator system must have a 2-dimensional kernel"
-    best = None
-    best_enc = None
-    q = spec.order
-    for t1 in spec.elements():
-        for t2 in spec.elements():
-            w = [t1 * basis[0][i] + t2 * basis[1][i] for i in range(4)]
-            if w[0] * w[3] == w[1] * w[2]:
-                continue
-            enc = (w[0].encode() + q * w[1].encode()
-                   + q * q * w[2].encode() + q**3 * w[3].encode())
-            if best_enc is None or enc < best_enc:
-                best, best_enc = w, enc
-    assert best is not None, "no invertible conjugator found"
-    return Mat2(*best)
+    if len(basis) != 2:
+        raise ContractError("conjugator system must have a 2-dimensional kernel")
+    b0, b1 = basis
+    k = next(i for i in (3, 2, 1, 0) if b0[i] or b1[i])
+    w = [b1[k] * x - b0[k] * y for x, y in zip(b0, b1)]
+    scale = next(x for x in reversed(w) if x).inverse()
+    return _invertible(*(x * scale for x in w))
 
 
 def _ext_quadratic_root(spec: FieldSpec, c0: Felt, c1: Felt) -> ExtElt:
-    """First root of x^2 + c1*x + c0 in GF(q^2), in encoding order."""
+    """The root of the irreducible x^2 + c1*x + c0 in GF(q^2) with the
+    smaller encoding u + q*v; the two roots are conjugate."""
     ext = make_ext(spec)
-    e0, e1 = embed(c0), embed(c1)
-    for z in ext.elements():
-        if z * z + e1 * z + e0 == ext.zero:
-            return z
-    raise AssertionError("quadratic has no root in GF(q^2)")
+    if spec.p == 2:
+        # x = c1*(w + y) where w^2 + w = beta and y^2 + y = c0/c1^2 + beta;
+        # the conjugate root is (u + c1) + c1*w
+        y = artin_schreier_root(c0 / (c1 * c1) + ext.m0)
+        if y is None:
+            raise ContractError("quadratic has no root in GF(q^2)")
+        u, v = c1 * y, c1
+        u = min(u, u + c1, key=Felt.encode)
+    else:
+        # x = -c1/2 + v*w where w^2 = beta, so (2v)^2 = disc/beta
+        half = spec.from_encoding((spec.p + 1) // 2)
+        r = sqrt((c1 * c1 - (c0 + c0 + c0 + c0)) / -ext.m0)
+        if r is None:
+            raise ContractError("quadratic has no root in GF(q^2)")
+        u, v = -c1 * half, r * half
+        v = min(v, -v, key=Felt.encode)
+    z = ExtElt(ext, u, v)
+    if z * z + embed(c1) * z + embed(c0):
+        raise ContractError(f"{z!r} is not a root of x^2 + c1*x + c0")
+    return z
 
 
 def reduce(m: Mat2) -> ReducedForm:
     """Type info, reduced matrix R, conjugator P with [m] = [P][R][P]^-1,
-    and the distinguished eigenvalue in GF(q^2)."""
+    and the distinguished eigenvalue in GF(q^2).  Internal checks raise
+    ContractError."""
     info = classify(m)
     if info.kind == IDENTITY:
         raise ValueError("the identity class has no reduced form")
@@ -304,7 +358,7 @@ def reduce(m: Mat2) -> ReducedForm:
         red = reduced_type1(spec, info.param)
         va = _eigenvector(m, alpha)
         vb = _eigenvector(m, beta)
-        conj = Mat2(va[0], vb[0], va[1], vb[1])
+        conj = _invertible(va[0], vb[0], va[1], vb[1])
         eig = embed(alpha)
     elif info.kind == TYPE2:
         lam = _roots_in_field(m.char_poly())[0]
@@ -317,7 +371,7 @@ def reduce(m: Mat2) -> ReducedForm:
             n_c, n_d = nil.c, nil.d - spec.one
             u = (spec.one, spec.zero) if (n_a or n_c) else (spec.zero, spec.one)
             nu = (n_a * u[0] + n_b * u[1], n_c * u[0] + n_d * u[1])
-            conj = Mat2(u[0], nu[0], u[1], nu[1])
+            conj = _invertible(u[0], nu[0], u[1], nu[1])
         eig = embed(lam)
     elif info.kind == TYPE3:
         red = reduced_type3(spec, info.param)
@@ -334,8 +388,8 @@ def reduce(m: Mat2) -> ReducedForm:
             conj = _min_encoding_conjugator(m.scale(m.trace.inverse()), red)
         eig = _ext_quadratic_root(spec, -info.param, -spec.one)
 
-    assert ProjMat(conj * red * conj.inverse()) == ProjMat(m), \
-        "conjugation identity failed"
+    if ProjMat(conj * red * conj.inverse()) != ProjMat(m):
+        raise ContractError("conjugation identity failed")
     return ReducedForm(info, red, conj, eig)
 
 

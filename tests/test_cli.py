@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
-from conftest import run_cli
+from conftest import SRC, run_cli
 
 
 def test_classify_type4(F5):
@@ -23,6 +26,22 @@ def test_classify_identity_exits_zero():
 def test_classify_rejects_singular_matrix():
     res = run_cli("classify", "--p", "3", "--s", "1", "--matrix", "1,1,1,1")
     assert res.returncode == 2
+
+def test_failed_internal_check_exits_one_under_optimize():
+    # a square root that returns its input gives x^2 - x + 1 over GF(7) the
+    # non-roots 2 and 6; the root check must still fire with asserts stripped
+    code = ("import sys\n"
+            "import pgl2poly.projective as projective\n"
+            "from pgl2poly.cli import main\n"
+            "projective.sqrt = lambda x: x\n"
+            "sys.exit(main(['classify', '--p', '7', '--matrix', '0,1,6,1']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: internal check failed:")
+    assert "Traceback" not in res.stderr
 
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from pgl2poly import (Poly, element_of_mult_order, embed, frobenius_q,
-                      is_square, make_ext, make_field, smallest_nonsquare,
+from pgl2poly import (FieldSpec, Poly, artin_schreier_root,
+                      element_of_mult_order, embed, frobenius_q, is_square,
+                      make_ext, make_field, smallest_nonsquare, sqrt,
                       try_descend)
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -59,6 +60,15 @@ def test_mixed_specs_rejected():
     with pytest.raises(ValueError):
         make_field(3, 1).one + make_field(5, 1).one
 
+def test_field_spec_equality_includes_the_modulus():
+    spec = make_field(3, 2)                       # modulus x^2 + 1
+    other = FieldSpec(3, 2, (2, 1, 1))            # x^2 + x + 2, also irreducible
+    assert other != spec
+    assert FieldSpec(3, 2, spec.modulus) == spec
+    assert hash(FieldSpec(3, 2, spec.modulus)) == hash(spec)
+    with pytest.raises(ValueError, match="mixed field specs"):
+        other.from_encoding(4) * spec.from_encoding(4)
+
 
 @pytest.mark.parametrize("p,s", SMALL_Q)
 def test_field_axioms_sampled(p, s):
@@ -104,6 +114,44 @@ def test_smallest_nonsquare(p, expected):
 def test_smallest_nonsquare_even_q_rejected():
     with pytest.raises(ValueError):
         smallest_nonsquare(make_field(2, 2))
+
+
+# q = 3, 5, 9, 13, 17, 25, 27, 41, 49, 81, 97: the 2-adic valuation of q - 1
+# takes every value 1..5, so each Tonelli-Shanks loop depth runs
+@pytest.mark.parametrize("p,s", [(3, 1), (5, 1), (3, 2), (13, 1), (17, 1),
+                                 (5, 2), (3, 3), (41, 1), (7, 2), (3, 4),
+                                 (97, 1)])
+def test_sqrt_of_every_element_odd_q(p, s):
+    spec = make_field(p, s)
+    squares = {x * x for x in spec.elements()}
+    for x in spec.elements():
+        r = sqrt(x)
+        if x in squares:
+            assert r is not None and r * r == x
+        else:
+            assert r is None
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_sqrt_even_q(s):
+    spec = make_field(2, s)
+    for x in spec.elements():
+        assert sqrt(x) * sqrt(x) == x
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_artin_schreier_root_exhaustive(s):
+    spec = make_field(2, s)
+    image = {y * y + y for y in spec.elements()}   # the trace-0 hyperplane
+    assert len(image) == spec.order // 2
+    for t in spec.elements():
+        y = artin_schreier_root(t)
+        if t in image:
+            assert y is not None and y * y + y == t
+        else:
+            assert y is None
+
+def test_artin_schreier_root_rejects_odd_characteristic():
+    with pytest.raises(ValueError):
+        artin_schreier_root(make_field(3, 1).one)
 
 
 def test_element_of_mult_order_f5():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Mat2, Poly,
-                      ProjMat, all_classes, classify, element_of_order,
-                      make_field, power_closed_form, proj_eq, reduce,
-                      reduced_type1, reduced_type2, reduced_type3,
+from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
+                      Poly, ProjMat, all_classes, classify, element_of_order,
+                      is_square, make_field, power_closed_form, proj_eq,
+                      reduce, reduced_type1, reduced_type2, reduced_type3,
                       reduced_type4, sigma_product, smallest_nonsquare)
 
 
@@ -127,6 +127,25 @@ def test_reduce_consistency_random(p, s):
         rf = reduce(A)
         assert rf.info == classify(A)
         assert proj_eq(rf.conjugator * rf.reduced * rf.conjugator.inverse(), A)
+
+def test_reduce_cost_is_logarithmic_in_q(monkeypatch):
+    # closed-form roots and conjugator: O(log q) products, where scanning
+    # GF(q^2) and the q^2 kernel points took about 1.9 million at q = 401
+    spec = make_field(401, 1)
+    c = next(c for c in spec.elements()
+             if c and not is_square(spec.one + c + c + c + c))
+    P = Mat2.from_encodings(spec, (1, 2, 3, 5))
+    m = P * reduced_type4(spec, c) * P.inverse()
+    calls = [0]
+    mul = Felt.__mul__
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+    monkeypatch.setattr(Felt, "__mul__", counted)
+    rf = reduce(m)
+    assert rf.info.kind == TYPE4 and rf.conjugator != Mat2.identity(spec)
+    assert calls[0] < 2000
 
 def test_conjugate_orders_agree(F5):
     rng = random.Random(3)

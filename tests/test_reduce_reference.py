@@ -1,0 +1,113 @@
+"""classify, reduce and power_closed_form against the field scans that the
+closed-form root and conjugator helpers replaced.
+
+The scans below are the reference: each runs over all of GF(q), GF(q^2) or
+the q^2 points of the conjugator kernel, so it is correct by inspection.
+Patching them into projective and rerunning must reproduce every output.
+"""
+
+import itertools
+
+import pytest
+
+from pgl2poly import (IDENTITY, Mat2, classify, embed, linalg, make_ext,
+                      make_field, power_closed_form, projective, reduce)
+
+
+def scan_roots_in_field(f):
+    zero = f.ring.zero
+    return [x for x in f.ring.elements() if f(x) == zero]
+
+
+def scan_ext_quadratic_root(spec, c0, c1):
+    ext = make_ext(spec)
+    e0, e1 = embed(c0), embed(c1)
+    for z in ext.elements():
+        if z * z + e1 * z + e0 == ext.zero:
+            return z
+    raise AssertionError("quadratic has no root in GF(q^2)")
+
+
+def scan_min_encoding_conjugator(scaled, target):
+    spec = scaled.spec
+    s_a, s_b, s_c, s_d = scaled.entries()
+    r_a, r_b, r_c, r_d = target.entries()
+    zero = spec.zero
+    rows = [
+        [s_a - r_a, -r_c, s_b, zero],
+        [-r_b, s_a - r_d, zero, s_b],
+        [s_c, zero, s_d - r_a, -r_c],
+        [zero, s_c, -r_b, s_d - r_d],
+    ]
+    basis = linalg.nullspace(spec, rows)
+    assert len(basis) == 2
+    best = None
+    best_enc = None
+    q = spec.order
+    for t1 in spec.elements():
+        for t2 in spec.elements():
+            w = [t1 * basis[0][i] + t2 * basis[1][i] for i in range(4)]
+            if w[0] * w[3] == w[1] * w[2]:
+                continue
+            enc = (w[0].encode() + q * w[1].encode()
+                   + q * q * w[2].encode() + q**3 * w[3].encode())
+            if best_enc is None or enc < best_enc:
+                best, best_enc = w, enc
+    assert best is not None
+    return Mat2(*best)
+
+
+SCANS = {"_roots_in_field": scan_roots_in_field,
+         "_ext_quadratic_root": scan_ext_quadratic_root,
+         "_min_encoding_conjugator": scan_min_encoding_conjugator}
+
+
+def _reduction(m):
+    info = classify(m)
+    if info.kind == IDENTITY:
+        return (IDENTITY,)
+    rf = reduce(m)
+    param = info.param.encode() if info.param is not None else None
+    return (info.kind, param, rf.reduced.encode(), rf.conjugator.encode(),
+            rf.eigenvalue.encode())
+
+
+def _power(c, j):
+    try:
+        return power_closed_form(c, j).encode()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _outputs(spec):
+    elements = list(spec.elements())
+    mats = [Mat2(a, b, c, d)
+            for a, b, c, d in itertools.product(elements, repeat=4)
+            if a * d != b * c]
+    out = {repr(m): _reduction(m) for m in mats}
+    out.update({(c.encode(), j): _power(c, j)
+                for c in elements for j in range(4)})
+    return out
+
+
+def _check_against_scans(p, s, monkeypatch):
+    spec = make_field(p, s)
+    closed = _outputs(spec)
+    with monkeypatch.context() as patched:
+        for name, scan in SCANS.items():
+            patched.setattr(projective, name, scan)
+        scanned = _outputs(spec)
+    assert closed.keys() == scanned.keys()
+    mismatches = [k for k in closed if closed[k] != scanned[k]]
+    assert not mismatches, [(k, closed[k], scanned[k]) for k in mismatches[:5]]
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_reduce_matches_scans(p, s, monkeypatch):
+    _check_against_scans(p, s, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 2)])
+def test_reduce_matches_scans_slow(p, s, monkeypatch):
+    _check_against_scans(p, s, monkeypatch)
