@@ -7,8 +7,9 @@ from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, artin_schreier_root,
                      make_ext, make_field, smallest_nonsquare, sqrt,
                      try_descend)
 from .polynomials import (Poly, compose, derivative, divides, divrem,
-                          enumerate_monic_irreducibles, gcd, is_irreducible,
-                          monic_polys, monicize, pow_mod, reciprocal, to_text)
+                          enumerate_monic_irreducibles, gcd, homogenize,
+                          is_irreducible, monic_polys, monicize, pow_mod,
+                          reciprocal, to_text)
 from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
                          Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
                          classify, element_of_order, power_closed_form,
@@ -20,10 +21,9 @@ from .action import (F_poly, act, criterion_invariant, group_invariant,
 from .rational import (QConstruction, RationalMap, decompose,
                        generate_invariants, q_map, substitute_mobius,
                        transform)
-from .counting import (CountParams, asymptotic_ratio, count_factors_of_degree,
+from .counting import (asymptotic_ratio, count_factors_of_degree,
                        count_invariants_bruteforce, count_invariants_formula,
-                       count_params, count_via_criterion, euler_phi,
-                       mobius_inversion, moebius_mu, principal_character,
-                       quadratic_factor_of_F)
+                       count_via_criterion, eta, euler_phi, mobius_inversion,
+                       moebius_mu, principal_character, quadratic_factor_of_F)
 
 __version__ = "0.1.0"

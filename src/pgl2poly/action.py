@@ -12,9 +12,9 @@ import functools
 from math import gcd as int_gcd
 
 from .fields import FieldSpec
-from .polynomials import (Poly, divides, divrem, enumerate_monic_irreducibles,
-                          is_irreducible, monicize)
-from .projective import Mat2, ProjMat
+from .polynomials import (Poly, divides, enumerate_monic_irreducibles,
+                          homogenize, is_irreducible, monicize)
+from .projective import ContractError, Mat2, ProjMat
 
 
 def act(m: Mat2, f: Poly) -> Poly:
@@ -22,19 +22,8 @@ def act(m: Mat2, f: Poly) -> Poly:
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
     spec = m.spec
-    k = f.degree
-    u = Poly(spec, (m.c, m.a))
-    v = Poly(spec, (m.d, m.b))
-    upow = [Poly.one(spec)]
-    vpow = [Poly.one(spec)]
-    for _ in range(k):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    out = Poly.zero(spec)
-    for i, fi in enumerate(f.coeffs):
-        if fi:
-            out = out + (upow[i] * vpow[k - i]).scale(fi)
-    return out
+    return homogenize(f.coeffs, Poly(spec, (m.c, m.a)), Poly(spec, (m.d, m.b)),
+                      f.degree)
 
 
 def star_act(m: Mat2, f: Poly) -> Poly:
@@ -56,7 +45,8 @@ def proj_act(cls: ProjMat, f: Poly) -> Poly:
     irreducibles of degree >= 2 to monic irreducibles of the same degree."""
     _check_actable(f)
     g = act(cls.rep, f)
-    assert g.degree == f.degree, "degree drop on an irreducible input"
+    if g.degree != f.degree:
+        raise ContractError("degree drop on an irreducible input")
     return monicize(g)[1]
 
 

@@ -139,6 +139,8 @@ def cmd_count(args) -> int:
     n = args.n
     if n < 2:
         raise ValueError("counting starts at degree 2")
+    D = cls.order()
+    kind = classify(m).kind
     counts: dict[str, int] = {}
     if args.method in ("formula", "all"):
         if n <= 2:
@@ -148,7 +150,6 @@ def cmd_count(args) -> int:
     if args.method in ("brute", "all"):
         counts["brute"] = count_invariants_bruteforce(cls, n)
     if args.method in ("criterion", "all"):
-        D = cls.order()
         if n % D:
             counts["criterion"] = 0
         else:
@@ -157,8 +158,8 @@ def cmd_count(args) -> int:
     payload = {
         "field": spec.describe(),
         "matrix": _matrix_payload(m),
-        "type": classify(m).kind or "identity",
-        "order": cls.order(),
+        "type": kind or "identity",
+        "order": D,
         "n": n,
         **counts,
     }

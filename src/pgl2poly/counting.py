@@ -2,10 +2,10 @@
 
 The closed count of degree-(D*m) invariants of a class of order D is
 
-    phi(D)/(D*m) * (c + sum over d | m, gcd(d, D) = 1 of
-                        mu(d) * (q^(m/d) + eta(m/d)))
+    phi(D)/(D*m) * sum over d | m, gcd(d, D) = 1 of
+                       mu(d) * (q^(m/d) + eta(m/d))
 
-with per-type constants (c, eta).  The brute-force oracle scans the monic
+with a per-type correction eta.  The brute-force oracle scans the monic
 irreducibles directly; the criterion oracle counts degree-(D*m) factors of
 the criterion polynomials of the powers A^j with gcd(j, D) = 1.
 
@@ -17,14 +17,13 @@ roots from the degree count is what the (-1)^(m+1) correction records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
 from .polynomials import Poly, divides, enumerate_monic_irreducibles
-from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Mat2, ProjMat,
-                         TypeInfo, classify, reduced_type4)
+from .projective import (IDENTITY, TYPE1, TYPE2, Mat2, ProjMat, TypeInfo,
+                         classify, reduced_type4)
 from .action import F_poly, invariant_set
 
 
@@ -59,36 +58,16 @@ def mobius_inversion(chi, L, n: int) -> int:
     return sum(chi(d) * moebius_mu(d) * L(n // d) for d in divisors(n))
 
 
-ETA_MINUS_ONE = "minus-one"
-ETA_ZERO = "zero"
-ETA_ALTERNATING = "alternating"
-
-
-@dataclass(frozen=True)
-class CountParams:
-    c: int
-    eta_kind: str
-
-    def eta(self, t: int) -> int:
-        if self.eta_kind == ETA_MINUS_ONE:
-            return -1
-        if self.eta_kind == ETA_ZERO:
-            return 0
-        return 1 if t % 2 else -1
-
-
-_PARAMS = {
-    TYPE1: CountParams(0, ETA_MINUS_ONE),
-    TYPE2: CountParams(0, ETA_ZERO),
-    TYPE3: CountParams(0, ETA_ALTERNATING),
-    TYPE4: CountParams(0, ETA_ALTERNATING),
-}
-
-
-def count_params(info: TypeInfo) -> CountParams:
+def eta(info: TypeInfo, t: int) -> int:
+    """The closed formula's correction at q^t: -1 for type 1, 0 for type 2,
+    (-1)^(t+1) for types 3 and 4."""
     if info.kind == IDENTITY:
         raise ValueError("no counting constants for the identity class")
-    return _PARAMS[info.kind]
+    if info.kind == TYPE1:
+        return -1
+    if info.kind == TYPE2:
+        return 0
+    return 1 if t % 2 else -1
 
 
 def count_invariants_formula(m: Mat2, n: int) -> int:
@@ -103,12 +82,12 @@ def count_invariants_formula(m: Mat2, n: int) -> int:
     if n % D:
         return 0
     mm = n // D
-    params = count_params(classify(m))
+    info = classify(m)
     q = m.spec.order
-    total = params.c
+    total = 0
     for d in divisors(mm):
         if int_gcd(d, D) == 1:
-            total += moebius_mu(d) * (q ** (mm // d) + params.eta(mm // d))
+            total += moebius_mu(d) * (q ** (mm // d) + eta(info, mm // d))
     total *= euler_phi(D)
     assert total % (D * mm) == 0, "formula value must be an integer"
     return total // (D * mm)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator, Optional
 
-from .numutil import is_prime, prime_factors
+from .numutil import is_prime, power, prime_factors
 
 
 class FieldSpec:
@@ -133,14 +133,7 @@ class Felt:
     def __pow__(self, e: int) -> "Felt":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.spec.one)
 
     def __eq__(self, other):
         return (isinstance(other, Felt) and self.spec == other.spec
@@ -352,14 +345,7 @@ class ExtElt:
     def __pow__(self, e: int) -> "ExtElt":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ext.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.ext.one)
 
     def __eq__(self, other):
         return (isinstance(other, ExtElt) and self.ext == other.ext

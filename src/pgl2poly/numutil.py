@@ -1,6 +1,7 @@
-"""Small integer helpers: primality, factorization, divisors.
+"""Small integer helpers: primality, factorization, divisors, and the one
+square-and-multiply loop shared by every multiplicative type.
 
-Everything here is trial-division based; inputs stay well below 10**6.
+The integer helpers are trial-division based; inputs stay well below 10**6.
 """
 
 from __future__ import annotations
@@ -54,3 +55,18 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def power(base, e: int, one):
+    """base**e for e >= 0 by square-and-multiply; one is the identity of
+    base's multiplication."""
+    if e < 0:
+        raise ValueError(f"power requires e >= 0, got {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from typing import Iterator
 
-from .numutil import prime_factors
+from .numutil import power, prime_factors
 
 
 class Poly:
@@ -122,23 +122,8 @@ class Poly:
             return Poly(self.ring, ())
         return Poly(self.ring, tuple(a * c for a in self.coeffs))
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly(self.ring, (self.ring.zero,) * k + self.coeffs)
-
     def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.one(self.ring)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, Poly.one(self.ring))      # ValueError for e < 0
 
     def __call__(self, x):
         """Evaluate by Horner."""
@@ -222,6 +207,21 @@ def compose(f: Poly, g: Poly) -> Poly:
     acc = Poly.zero(f.ring)
     for c in reversed(f.coeffs):
         acc = acc * g + Poly(f.ring, (c,))
+    return acc
+
+
+def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
+    """The binary form sum of coeffs[i] * u^i * v^(k-i), for
+    k >= len(coeffs) - 1, by Horner on the pair with a running power of v."""
+    top = len(coeffs) - 1
+    if k < top:
+        raise ValueError(f"form degree {k} is below the coefficient degree {top}")
+    acc = Poly.zero(u.ring)
+    vp = v ** (k - top)
+    for i in range(top, -1, -1):
+        acc = acc * u + vp.scale(coeffs[i])
+        if i:
+            vp = vp * v
     return acc
 
 

@@ -10,15 +10,14 @@ when they are opposite elements of GF(q^2) \\ GF(q) (type 3), and
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import linalg
 from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
                      element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
                      try_descend)
-from .numutil import divisors
+from .numutil import divisors, power
 from .polynomials import Poly
 
 IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4 = 0, 1, 2, 3, 4
@@ -73,14 +72,7 @@ class Mat2:
     def __pow__(self, j: int) -> "Mat2":
         if j < 0:
             return self.inverse() ** (-j)
-        result = Mat2.identity(self.spec)
-        base = self
-        while j:
-            if j & 1:
-                result = result * base
-            base = base * base
-            j >>= 1
-        return result
+        return power(self, j, Mat2.identity(self.spec))
 
     def transpose(self) -> "Mat2":
         return Mat2(self.a, self.c, self.b, self.d)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .fields import embed, frobenius_q, make_ext, try_descend
-from .polynomials import (Poly, divrem, gcd, is_irreducible, monic_polys,
-                          monicize)
-from .projective import (TYPE1, TYPE2, TYPE3, TYPE4, Mat2, ProjMat,
+from .fields import frobenius_q, make_ext, try_descend
+from .polynomials import (Poly, divrem, enumerate_monic_irreducibles, gcd,
+                          homogenize, is_irreducible, monicize)
+from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, reduce)
 from .action import act
 
@@ -46,7 +46,7 @@ class QConstruction:
 
 
 def _linear_forms(p: Mat2) -> tuple[Poly, Poly]:
-    # the two columns of the conjugator, read as a*x + c and b*x + d
+    # the two columns of p, read as a*x + c and b*x + d
     spec = p.spec
     return Poly(spec, (p.c, p.a)), Poly(spec, (p.d, p.b))
 
@@ -58,7 +58,8 @@ def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
     ext = make_ext(spec)
     theta = rf.eigenvalue
     theta_q = frobenius_q(theta)
-    assert try_descend(theta**D) is not None, "theta^D must lie in GF(q)"
+    if try_descend(theta**D) is None:
+        raise ContractError("theta^D must lie in GF(q)")
     lin_t = Poly(ext, (theta, ext.one))
     lin_tq = Poly(ext, (theta_q, ext.one))
     dinv = (theta_q - theta).inverse()
@@ -66,10 +67,12 @@ def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
     h_ext = ((lin_tq**D) - (lin_t**D)).scale(dinv)
     def down(f_ext):
         coeffs = [try_descend(c) for c in f_ext.coeffs]
-        assert all(c is not None for c in coeffs), "coefficients must descend"
+        if any(c is None for c in coeffs):
+            raise ContractError("coefficients must descend to GF(q)")
         return Poly(spec, coeffs)
     g, h = down(g_ext), down(h_ext)
-    assert g.degree == D and g.is_monic and h.degree == D - 1
+    if not (g.degree == D and g.is_monic and h.degree == D - 1):
+        raise ContractError("type-4 pair must have degrees D (monic) and D-1")
     return g, h
 
 
@@ -98,58 +101,43 @@ def q_map(m: Mat2) -> QConstruction:
 
     # one scalar on the pair: make the degree-D side monic
     anchor = den if den.degree == D else num
-    assert anchor.degree == D, "neither side realizes the map degree"
+    if anchor.degree != D:
+        raise ContractError("neither side realizes the map degree")
     inv = anchor.lc().inverse()
     num, den = num.scale(inv), den.scale(inv)
 
     out = RationalMap(num, den, D)
-    assert gcd(num, den) == Poly.one(m.spec), "num and den must be coprime"
-    assert substitute_mobius(out, m) == out.normalized(), \
-        "map must be fixed by its own Moebius substitution"
+    if gcd(num, den) != Poly.one(m.spec):
+        raise ContractError("num and den must be coprime")
+    if substitute_mobius(out, m) != out.normalized():
+        raise ContractError("map must be fixed by its own Moebius substitution")
     return QConstruction(out, rf)
 
 
 def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
     """Q((ax+c)/(bx+d)) in lowest terms, denominator monic."""
-    spec = m.spec
     n = Q.degree
-    u = Poly(spec, (m.c, m.a))
-    v = Poly(spec, (m.d, m.b))
-    upow = [Poly.one(spec)]
-    vpow = [Poly.one(spec)]
-    for _ in range(n):
-        upow.append(upow[-1] * u)
-        vpow.append(vpow[-1] * v)
-    def homogenize(f):
-        out = Poly.zero(spec)
-        for i, c in enumerate(f.coeffs):
-            if c:
-                out = out + (upow[i] * vpow[n - i]).scale(c)
-        return out
-    return RationalMap(homogenize(Q.num), homogenize(Q.den), n).normalized()
+    u, v = _linear_forms(m)
+    return RationalMap(homogenize(Q.num.coeffs, u, v, n),
+                       homogenize(Q.den.coeffs, u, v, n), n).normalized()
 
 
 def transform(F: Poly, Q: RationalMap) -> Poly:
     """den^m * F(num/den) for m = deg F; linear in F and not monicized."""
     if not F:
         raise ValueError("transform of the zero polynomial")
-    mdeg = F.degree
-    npow = [Poly.one(F.ring)]
-    dpow = [Poly.one(F.ring)]
-    for _ in range(mdeg):
-        npow.append(npow[-1] * Q.num)
-        dpow.append(dpow[-1] * Q.den)
-    out = Poly.zero(F.ring)
-    for i, c in enumerate(F.coeffs):
-        if c:
-            out = out + (npow[i] * dpow[mdeg - i]).scale(c)
-    return out
+    return homogenize(F.coeffs, Q.num, Q.den, F.degree)
 
 
 def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
     """All invariants of degree D*mdeg, produced as monic rescalings of
-    transforms of the q^mdeg monic polynomials of degree mdeg; sorted by
-    encoding."""
+    transforms of the monic irreducibles of degree mdeg; sorted by encoding.
+
+    Reducible F need no scan.  transform is multiplicative: F = F1*F2 gives
+    t = t1*t2, and deg t_i <= D*deg F_i.  So deg t = D*mdeg forces every
+    deg t_i = D*deg F_i >= 2, and t is reducible.  A factor whose image
+    drops in degree (a constant image, say) only lowers deg t, and the
+    degree check below drops that t as well."""
     cls = ProjMat(m)
     if cls.is_identity():
         raise ValueError("the identity class fixes everything")
@@ -158,9 +146,10 @@ def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
         raise ValueError("generation requires D*m > 2")
     Q = q_map(m).map
     found = set()
-    for F in monic_polys(m.spec, mdeg):
+    for F in enumerate_monic_irreducibles(m.spec, mdeg):
         t = transform(F, Q)
-        assert t, "transform of a nonzero polynomial vanished"
+        if not t:
+            raise ContractError("transform of a nonzero polynomial vanished")
         t = monicize(t)[1]
         if t.degree == D * mdeg and is_irreducible(t):
             found.add(t)
@@ -177,17 +166,15 @@ def decompose(f: Poly, Q: RationalMap) -> Poly:
     if f.degree % D:
         raise ValueError(f"degree {f.degree} is not a multiple of {D}")
     mdeg = f.degree // D
-    npow = [Poly.one(f.ring)]
-    dpow = [Poly.one(f.ring)]
-    for _ in range(mdeg):
-        npow.append(npow[-1] * Q.num)
-        dpow.append(dpow[-1] * Q.den)
-    cols = [npow[j] * dpow[mdeg - j] for j in range(mdeg + 1)]
+    ring = f.ring
+    cols = [homogenize((ring.zero,) * j + (ring.one,), Q.num, Q.den, mdeg)
+            for j in range(mdeg + 1)]
     rows = [[col.coeff(i) for col in cols] for i in range(f.degree + 1)]
     rhs = [f.coeff(i) for i in range(f.degree + 1)]
-    sol = linalg.solve(f.ring, rows, rhs)
+    sol = linalg.solve(ring, rows, rhs)
     if sol is None:
         raise ValueError("polynomial is not a transform under this map")
-    F = Poly(f.ring, sol)
-    assert F, "decomposition produced the zero polynomial"
+    F = Poly(ring, sol)
+    if not F:
+        raise ContractError("decomposition produced the zero polynomial")
     return monicize(F)[1]

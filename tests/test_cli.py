@@ -43,6 +43,23 @@ def test_failed_internal_check_exits_one_under_optimize():
     assert res.stderr.startswith("error: internal check failed:")
     assert "Traceback" not in res.stderr
 
+def test_failed_map_check_exits_one_under_optimize():
+    # a Moebius substitution that swaps num and den breaks the fixed-point
+    # check inside q_map; it must fire with asserts stripped
+    code = ("import sys\n"
+            "import pgl2poly.rational as rational\n"
+            "from pgl2poly.cli import main\n"
+            "rational.substitute_mobius = lambda Q, m: rational.RationalMap(\n"
+            "    Q.den, Q.num, Q.degree)\n"
+            "sys.exit(main(['qmap', '--p', '5', '--matrix', '0,1,4,1']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: internal check failed:")
+    assert "Traceback" not in res.stderr
+
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")
     assert res.returncode == 2

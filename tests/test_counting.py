@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from pgl2poly import (CountParams, F_poly, Mat2, Poly, ProjMat,
-                      asymptotic_ratio, classify, count_factors_of_degree,
+from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
+                      classify, count_factors_of_degree,
                       count_invariants_bruteforce, count_invariants_formula,
-                      count_params, count_via_criterion,
-                      enumerate_monic_irreducibles, euler_phi, invariant_set,
+                      count_via_criterion, enumerate_monic_irreducibles, eta,
+                      euler_phi, invariant_set,
                       make_field, mobius_inversion, moebius_mu,
                       principal_character, quadratic_factor_of_F,
                       reduced_type2, reduced_type3, reduced_type4)
@@ -49,19 +49,19 @@ def test_mobius_inversion_character_roundtrip():
             assert mobius_inversion(chi, lambda t: L[t], n) == K[n]
 
 
-def test_count_params_table(F3):
-    t1 = count_params(classify(Mat2.from_encodings(F3, (2, 0, 0, 1))))
-    assert (t1.c, t1.eta(1), t1.eta(2)) == (0, -1, -1)
-    t2 = count_params(classify(reduced_type2(F3)))
-    assert (t2.c, t2.eta(1), t2.eta(2)) == (0, 0, 0)
-    t3 = count_params(classify(reduced_type3(F3, F3.from_encoding(2))))
-    assert (t3.c, t3.eta(1), t3.eta(2), t3.eta(3)) == (0, 1, -1, 1)
-    t4 = count_params(classify(reduced_type4(F3, F3.one)))
-    assert (t4.c, t4.eta(1), t4.eta(2)) == (0, 1, -1)
+def test_eta_table(F3):
+    t1 = classify(Mat2.from_encodings(F3, (2, 0, 0, 1)))
+    assert (eta(t1, 1), eta(t1, 2)) == (-1, -1)
+    t2 = classify(reduced_type2(F3))
+    assert (eta(t2, 1), eta(t2, 2)) == (0, 0)
+    t3 = classify(reduced_type3(F3, F3.from_encoding(2)))
+    assert (eta(t3, 1), eta(t3, 2), eta(t3, 3)) == (1, -1, 1)
+    t4 = classify(reduced_type4(F3, F3.one))
+    assert (eta(t4, 1), eta(t4, 2)) == (1, -1)
 
-def test_count_params_rejects_identity(F3):
+def test_eta_rejects_identity(F3):
     with pytest.raises(ValueError):
-        count_params(classify(Mat2.identity(F3)))
+        eta(classify(Mat2.identity(F3)), 1)
 
 
 def test_formula_examples(F2, F3):

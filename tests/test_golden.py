@@ -1,0 +1,28 @@
+"""Byte-for-byte CLI snapshots.
+
+`golden/cli.json` holds argv lists with the exit code and stdout they
+produced: classify, qmap, invariants --check and count for every type
+representative of q in {2, 3, 4, 5, 7, 9} plus one non-reduced conjugate
+per field, and every verify suite on GF(2).  Refactors must keep them.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from pgl2poly.cli import main
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as fh:
+    CASES = json.load(fh)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_matches_snapshot(case):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(case["argv"])
+    assert code == case["exit"]
+    assert out.getvalue() == case["stdout"]

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from pgl2poly import (Poly, compose, derivative, divrem, divides,
-                      enumerate_monic_irreducibles, gcd, is_irreducible,
-                      make_field, monic_polys, monicize, pow_mod, reciprocal,
-                      to_text)
+                      enumerate_monic_irreducibles, gcd, homogenize,
+                      is_irreducible, make_field, monic_polys, monicize,
+                      pow_mod, reciprocal, to_text)
 
 
 def _mu(n):
@@ -97,6 +97,49 @@ def test_pow_mod_matches_plain_power(F3):
     base = Poly.of(F3, 1, 1)
     mod = Poly.of(F3, 1, 0, 1)
     assert pow_mod(base, 7, mod) == divrem(base ** 7, mod)[1]
+
+
+def _naive_form(coeffs, u, v, k):
+    # sum of c_i * u^i * v^(k-i) from power lists built by repeated products
+    ring = u.ring
+    upow, vpow = [Poly.one(ring)], [Poly.one(ring)]
+    for _ in range(k):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    out = Poly.zero(ring)
+    for i, c in enumerate(coeffs):
+        out = out + (upow[i] * vpow[k - i]).scale(c)
+    return out
+
+@pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2)])
+def test_homogenize_matches_power_lists(p, s):
+    ring = make_field(p, s)
+    rng = random.Random(11)
+    zero = ring.zero
+
+    def rand_poly(max_len):
+        return Poly(ring, [ring.from_encoding(rng.randrange(ring.order))
+                           for _ in range(rng.randrange(0, max_len + 1))])
+    for trial in range(150):
+        u, v = rand_poly(3), rand_poly(3)
+        if trial % 10 == 0:
+            u = Poly.zero(ring)
+        elif trial % 10 == 1:
+            v = Poly.zero(ring)
+        coeffs = [ring.from_encoding(rng.randrange(ring.order))
+                  for _ in range(rng.randrange(0, 6))]
+        if trial % 5 == 2:
+            coeffs = [zero] + coeffs             # zero constant coefficient
+        elif trial % 5 == 3:
+            coeffs = coeffs + [zero]             # zero top coefficient
+        top = len(coeffs) - 1
+        for k in range(max(top, 0), top + 4):
+            assert homogenize(coeffs, u, v, k) == _naive_form(coeffs, u, v, k)
+
+def test_homogenize_rejects_short_form_degree(F3):
+    x = Poly.x(F3)
+    with pytest.raises(ValueError):
+        homogenize((F3.one, F3.one, F3.one), x, x, 1)
 
 
 def test_reciprocal_self_reciprocal_linear(F2):
