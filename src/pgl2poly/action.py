@@ -107,7 +107,8 @@ def subgroup_closure(generators) -> frozenset[ProjMat]:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-        assert len(seen) <= bound
+        if len(seen) > bound:
+            raise ContractError("closure outgrew PGL2(GF(q))")
     return frozenset(seen)
 
 

@@ -22,8 +22,8 @@ from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
 from .polynomials import Poly, divides, enumerate_monic_irreducibles
-from .projective import (IDENTITY, TYPE1, TYPE2, Mat2, ProjMat, TypeInfo,
-                         classify, reduced_type4)
+from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
+                         TypeInfo, classify, reduced_type4)
 from .action import F_poly, invariant_set
 
 
@@ -89,7 +89,8 @@ def count_invariants_formula(m: Mat2, n: int) -> int:
         if int_gcd(d, D) == 1:
             total += moebius_mu(d) * (q ** (mm // d) + eta(info, mm // d))
     total *= euler_phi(D)
-    assert total % (D * mm) == 0, "formula value must be an integer"
+    if total % (D * mm):
+        raise ContractError("formula value must be an integer")
     return total // (D * mm)
 
 
@@ -129,7 +130,7 @@ def count_via_criterion(m: Mat2, mm: int) -> int:
 def quadratic_factor_of_F(c, j: int, mm: int):
     """The quadratic irreducible factor x^2 + c^-1 x - c^-1 of the criterion
     polynomial of [[0,1],[c,1]]^j at exponent mm, present exactly when mm is
-    even; asserts the degree and linear-freeness facts along the way."""
+    even; checks the degree and linear-freeness facts along the way."""
     spec = c.spec
     base = reduced_type4(spec, c)
     D = ProjMat(base).order()
@@ -137,16 +138,18 @@ def quadratic_factor_of_F(c, j: int, mm: int):
         raise ValueError("j must lie in [1, D-1] and be prime to D")
     F = F_poly(base**j, mm)
     q = spec.order
-    assert F.degree == q**mm + 1, "criterion polynomial has degree q^m + 1"
-    assert not any(F(x) == spec.zero for x in spec.elements()), \
-        "criterion polynomial must be free of linear factors"
+    if F.degree != q**mm + 1:
+        raise ContractError("criterion polynomial has degree q^m + 1")
+    if any(F(x) == spec.zero for x in spec.elements()):
+        raise ContractError("criterion polynomial must be free of linear factors")
     cinv = c.inverse()
     quad = Poly(spec, (-cinv, cinv, spec.one))
     if mm % 2 == 0:
-        assert divides(quad, F), "even exponent must admit the quadratic factor"
+        if not divides(quad, F):
+            raise ContractError("even exponent must admit the quadratic factor")
         return quad
-    assert count_factors_of_degree(F, 2) == 0, \
-        "odd exponent admits no quadratic factor"
+    if count_factors_of_degree(F, 2):
+        raise ContractError("odd exponent admits no quadratic factor")
     return None
 
 

@@ -2,24 +2,34 @@
 
 Construction is deterministic: the degree-s modulus over GF(p) is the first
 irreducible one in integer-encoding order (constant term least significant),
-so element encodings agree across runs and machines.  Elements are immutable
-coordinate vectors with respect to the modulus basis; the integer encoding
-e(x) = sum coeffs[i] * p^i is a bijection onto [0, q).
+so element encodings agree across runs and machines.  An element of GF(q)
+is its encoding e(x) = sum coeffs[i] * p^i in [0, q), coeffs being its
+coordinates in the modulus basis.  Arithmetic looks up discrete-log tables
+built once per field: exp[i] = g^i for the least primitive element g,
+log[e], and the Zech logarithm zech[k] = log(1 + g^k), which turns a sum
+g^i + g^j into g^(i + zech[j - i]) (Huber 1990, "Some comments on Zech's
+logarithms").  The tables take O(q) time and memory, so q <= 2^20.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate, dropwhile
+from operator import mul, not_
 from typing import Iterator, Optional
 
 from .numutil import is_prime, power, prime_factors
+from .polynomials import Poly, is_irreducible, monic_polys, pow_mod
+
+MAX_ORDER = 1 << 20
 
 
 class FieldSpec:
-    """The field GF(p^s) with a fixed monic irreducible modulus of degree s."""
+    """The field GF(p^s) with a fixed monic irreducible modulus of degree s;
+    make_field keeps q <= MAX_ORDER."""
 
-    __slots__ = ("p", "s", "order", "modulus", "zero", "one", "_redtail",
-                 "_hash")
+    __slots__ = ("p", "s", "order", "modulus", "zero", "one", "exp", "log",
+                 "zech", "neg", "_hash")
 
     def __init__(self, p: int, s: int, modulus: tuple[int, ...]):
         self.p = p
@@ -27,10 +37,10 @@ class FieldSpec:
         self.order = p**s
         self.modulus = modulus
         self._hash = hash(("FieldSpec", p, s, modulus))
-        # x^s = -(m_0 + m_1 x + ... + m_{s-1} x^{s-1}) drives reduction in mul
-        self._redtail = tuple((-m) % p for m in modulus[:s])
-        self.zero = Felt(self, (0,) * s)
-        self.one = Felt(self, (1,) + (0,) * (s - 1))
+        self.exp, self.log, self.zech = _tables(p, s, modulus)
+        self.neg = self.log[p - 1]        # -1 = g^neg
+        self.zero = Felt(self, 0)
+        self.one = Felt(self, 1)
 
     def __eq__(self, other):
         return self is other or (
@@ -47,192 +57,167 @@ class FieldSpec:
         """Text form: 'p^s' plus the modulus coefficient list."""
         return f"{self.p}^{self.s} modulus={list(self.modulus)}"
 
-    def element(self, coeffs) -> "Felt":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.s:
-            raise ValueError(f"expected {self.s} coordinates, got {len(coeffs)}")
-        return Felt(self, coeffs)
-
     def from_encoding(self, n: int) -> "Felt":
         if not 0 <= n < self.order:
             raise ValueError(f"encoding {n} out of range [0, {self.order})")
-        coeffs = []
-        for _ in range(self.s):
-            n, r = divmod(n, self.p)
-            coeffs.append(r)
-        return Felt(self, tuple(coeffs))
+        return Felt(self, n)
 
     def elements(self) -> Iterator["Felt"]:
         """All field elements in encoding order."""
-        for n in range(self.order):
-            yield self.from_encoding(n)
+        return map(functools.partial(Felt, self), range(self.order))
+
+
+def _tables(p: int, s: int, modulus: tuple[int, ...]):
+    """exp (doubled to length 2(q-1), so a sum of two logs needs no
+    reduction), log (log[0] = -1) and zech (-1 where 1 + g^k = 0) for the
+    least g with g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    q = p**s
+    exps = [(q - 1) // r for r in prime_factors(q - 1)]
+    if s == 1:
+        g = next(g for g in range(1, p) if all(pow(g, e, p) != 1 for e in exps))
+        exp = list(accumulate(range(q - 2), lambda n, _: n * g % p, initial=1))
+    else:
+        # constants (encodings below p) have order dividing p - 1; g = 0 when
+        # nothing qualifies, as for a reducible modulus
+        fp = make_field(p, 1)
+        mod, one = Poly.of(fp, *modulus), Poly.one(fp)
+        digits = lambda n: [n // p**i % p for i in range(s)]
+        g = next((g for g in range(p, q) if all(
+            pow_mod(Poly.of(fp, *digits(g)), e, mod) != one for e in exps)), 0)
+        # one walk: multiply by g by Horner on its digits, where x*t shifts t
+        # and folds the top digit back in by x^s = -(m_0 + ... + m_{s-1} x^{s-1})
+        high_first = list(dropwhile(not_, reversed(digits(g))))
+        tail = [(-m) % p for m in modulus[:s]]
+        weights = [p**i for i in range(s)]
+        cur, exp = digits(1), []
+        for _ in range(q - 1):
+            exp.append(sum(map(mul, cur, weights)))
+            acc = [0] * s
+            for c in high_first:
+                top = acc[-1]
+                acc = [(a + top * m + c * t) % p
+                       for a, m, t in zip([0] + acc[:-1], tail, cur)]
+            cur = acc
+    log = [-1] * q
+    for i, n in enumerate(exp):
+        log[n] = i
+    if log[0] >= 0 or log.count(-1) > 1:       # g^i hit 0 or repeated
+        raise ValueError(f"modulus {list(modulus)} is not irreducible over GF({p})")
+    zech = [log[n - n % p + (n + 1) % p] for n in exp]   # 1 + n: lowest digit
+    return exp + exp, log, zech
 
 
 class Felt:
-    """An element of GF(p^s): coordinates with respect to the modulus basis."""
+    """An element of GF(p^s), held as its integer encoding n."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "n")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, n: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.n = n
 
     def encode(self) -> int:
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.spec.p + c
-        return e
+        return self.n
 
     def _check(self, other):
         if self.spec is not other.spec and self.spec != other.spec:
             raise ValueError(f"mixed field specs: {self.spec.describe()} vs "
                              f"{other.spec.describe()}")
 
+    def _plus(self, lb: int) -> "Felt":
+        # self + g^lb = g^la * (1 + g^(lb - la))
+        spec = self.spec
+        if not self.n:
+            return Felt(spec, spec.exp[lb])
+        la = spec.log[self.n]
+        z = spec.zech[(lb - la) % (spec.order - 1)]
+        return spec.zero if z < 0 else Felt(spec, spec.exp[la + z])
+
     def __add__(self, other: "Felt") -> "Felt":
         self._check(other)
-        p = self.spec.p
-        return Felt(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(self.spec.log[other.n]) if other.n else self
 
     def __sub__(self, other: "Felt") -> "Felt":
         self._check(other)
-        p = self.spec.p
-        return Felt(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(self.spec.log[other.n] + self.spec.neg) if other.n else self
 
     def __neg__(self) -> "Felt":
-        p = self.spec.p
-        return Felt(self.spec, tuple((-a) % p for a in self.coeffs))
+        spec = self.spec
+        return Felt(spec, spec.exp[spec.log[self.n] + spec.neg]) if self.n else self
 
     def __mul__(self, other: "Felt") -> "Felt":
         self._check(other)
         spec = self.spec
-        p, s = spec.p, spec.s
-        if s == 1:
-            return Felt(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = [0] * (2 * s - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        tail = spec._redtail
-        for k in range(2 * s - 2, s - 1, -1):
-            c = prod[k] % p
-            if c:
-                for i, t in enumerate(tail):
-                    if t:
-                        prod[k - s + i] += c * t
-        return Felt(spec, tuple(c % p for c in prod[:s]))
+        if not self.n or not other.n:
+            return spec.zero
+        return Felt(spec, spec.exp[spec.log[self.n] + spec.log[other.n]])
 
     def inverse(self) -> "Felt":
-        if not self:
+        if not self.n:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.spec.order - 2)
+        spec = self.spec
+        return Felt(spec, spec.exp[spec.order - 1 - spec.log[self.n]])
 
     def __truediv__(self, other: "Felt") -> "Felt":
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "Felt":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, self.spec.one)
+        spec = self.spec
+        if not self.n:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return self if e else spec.one
+        return Felt(spec, spec.exp[spec.log[self.n] * e % (spec.order - 1)])
 
     def __eq__(self, other):
-        return (isinstance(other, Felt) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, Felt) and self.n == other.n
+                and self.spec == other.spec)
 
     def __hash__(self):
-        return hash((self.spec._hash, self.coeffs))
+        return hash(self.n)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.n != 0
 
     def __repr__(self):
-        return f"{self.encode()}@{self.spec!r}"
-
-
-# ---------------------------------------------------------------------------
-# modulus search over GF(p) on raw coefficient tuples (pre-Felt bootstrap)
-
-def _raw_rem(f: list[int], g: tuple[int, ...], p: int) -> list[int]:
-    ginv = pow(g[-1], p - 2, p)
-    f = list(f)
-    while len(f) >= len(g):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = (f[-1] * ginv) % p
-        off = len(f) - len(g)
-        for i, gi in enumerate(g):
-            f[off + i] = (f[off + i] - c * gi) % p
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-def _raw_irreducible(f: tuple[int, ...], p: int) -> bool:
-    # trial division by every monic polynomial of degree <= deg(f)/2
-    n = len(f) - 1
-    for d in range(1, n // 2 + 1):
-        for code in range(p**d):
-            g, m = [], code
-            for _ in range(d):
-                m, r = divmod(m, p)
-                g.append(r)
-            g.append(1)
-            if not _raw_rem(list(f), tuple(g), p):
-                return False
-    return True
+        return f"{self.n}@{self.spec!r}"
 
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, s: int) -> FieldSpec:
     """GF(p^s) with the minimal modulus in encoding order; cached, so specs
     with equal (p, s) are the same object."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if s < 1:
         raise ValueError(f"extension degree must be >= 1, got {s}")
+    if p > 1 and (s > 20 or p**s > MAX_ORDER):
+        raise ValueError(f"GF({p}^{s}) is too large: field tables need q <= 2^20")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if s == 1:
         return FieldSpec(p, 1, (0, 1))
-    for code in range(p**s):
-        coeffs, m = [], code
-        for _ in range(s):
-            m, r = divmod(m, p)
-            coeffs.append(r)
-        cand = tuple(coeffs) + (1,)
-        if _raw_irreducible(cand, p):
-            return FieldSpec(p, s, cand)
-    raise AssertionError("no irreducible modulus found")  # unreachable
+    f = next(f for f in monic_polys(make_field(p, 1), s) if is_irreducible(f))
+    return FieldSpec(p, s, tuple(c.n for c in f.coeffs))
 
 
 # ---------------------------------------------------------------------------
 # squares and multiplicative orders
 
 def is_square(x: Felt) -> bool:
-    """True iff x is a square; in even characteristic squaring is onto."""
-    spec = x.spec
-    if spec.p == 2 or not x:
-        return True
-    return x ** ((spec.order - 1) // 2) == spec.one
+    """True iff x is zero or has an even log; in even characteristic always."""
+    return x.spec.p == 2 or not x.n or x.spec.log[x.n] % 2 == 0
 
 def smallest_nonsquare(spec: FieldSpec) -> Felt:
     """The non-square of minimal encoding; only exists for odd q."""
     if spec.p == 2:
         raise ValueError("every element of an even-order field is a square")
-    for x in spec.elements():
-        if x and not is_square(x):
-            return x
-    raise AssertionError("no non-square found")  # unreachable for odd q
+    return Felt(spec, next(n for n in range(2, spec.order) if spec.log[n] % 2))
 
 @functools.lru_cache(maxsize=None)
 def _primitive_element(spec):
     # minimal-encoding generator of the multiplicative group
     n = spec.order - 1
-    checks = [n // r for r in prime_factors(n)] if n > 1 else []
-    one = spec.one
-    for g in spec.elements():
-        if g and all(g**e != one for e in checks):
-            return g
-    raise AssertionError("no primitive element found")  # unreachable
+    checks = [n // r for r in prime_factors(n)]
+    return next(g for g in spec.elements() if g and all(g**e != spec.one for e in checks))
 
 def element_of_mult_order(spec, d: int):
     """g^((#units)/d) for the minimal-encoding primitive g; has order exactly d."""
@@ -274,9 +259,6 @@ class ExtSpec:
     def __repr__(self):
         return f"GF({self.base.p}^{2 * self.base.s})/{self.base!r}"
 
-    def element(self, u: Felt, v: Felt) -> "ExtElt":
-        return ExtElt(self, u, v)
-
     def from_encoding(self, n: int) -> "ExtElt":
         q = self.base.order
         if not 0 <= n < self.order:
@@ -284,8 +266,7 @@ class ExtSpec:
         return ExtElt(self, self.base.from_encoding(n % q), self.base.from_encoding(n // q))
 
     def elements(self) -> Iterator["ExtElt"]:
-        for n in range(self.order):
-            yield self.from_encoding(n)
+        return map(self.from_encoding, range(self.order))
 
 
 class ExtElt:
@@ -352,7 +333,7 @@ class ExtElt:
                 and self.u == other.u and self.v == other.v)
 
     def __hash__(self):
-        return hash((self.ext._hash, self.u.coeffs, self.v.coeffs))
+        return hash((self.u.n, self.v.n))
 
     def __bool__(self):
         return bool(self.u) or bool(self.v)
@@ -361,26 +342,13 @@ class ExtElt:
         return f"{self.encode()}@{self.ext!r}"
 
 
-def _absolute_trace(x: Felt) -> Felt:
-    # trace down to the prime field: sum of x^(p^i)
-    acc = x
-    t = x
-    for _ in range(x.spec.s - 1):
-        t = t**x.spec.p
-        acc = acc + t
-    return acc
-
-
 @functools.lru_cache(maxsize=None)
 def make_ext(spec: FieldSpec) -> ExtSpec:
     """The quadratic extension of spec with a deterministic modulus."""
     if spec.p == 2:
-        beta = None
-        for x in spec.elements():
-            if _absolute_trace(x) == spec.one:
-                beta = x
-                break
-        assert beta is not None
+        # least beta of absolute trace beta + beta^2 + ... + beta^(2^(s-1)) = 1
+        beta = next(x for x in spec.elements()
+                    if sum((x ** 2**i for i in range(spec.s)), spec.zero) == spec.one)
         return ExtSpec(spec, beta, spec.one)          # x^2 + x + beta
     beta = smallest_nonsquare(spec)
     return ExtSpec(spec, -beta, spec.zero)            # x^2 - beta
@@ -390,37 +358,13 @@ def make_ext(spec: FieldSpec) -> ExtSpec:
 # quadratic equations over GF(q) in O(log q) operations
 
 def sqrt(x: Felt) -> Optional[Felt]:
-    """A square root of x, or None when x is not a square.
-
-    Odd q: Tonelli-Shanks (Shanks 1973) seeded with the non-square of
-    make_ext.  Even q: squaring is a bijection and x^(q/2) is its inverse.
-    """
+    """A square root of x, or None when x is not a square: g^(i/2) for
+    x = g^i, where an odd i (even q only, q - 1 being odd) becomes i + q - 1."""
     spec = x.spec
-    if spec.p == 2:
-        return x ** (spec.order // 2)
-    if not x:
-        return x
-    odd, m = spec.order - 1, 0            # q - 1 = odd * 2^m
-    while odd % 2 == 0:
-        odd //= 2
-        m += 1
-    one = spec.one
-    c = (-make_ext(spec).m0) ** odd       # generates the 2-Sylow subgroup
-    t = x ** odd
-    r = x ** ((odd + 1) // 2)             # r^2 = x * t throughout
-    while t != one:
-        i, t2 = 0, t                      # find the order 2^i of t
-        while t2 != one:
-            t2 = t2 * t2
-            i += 1
-            if i == m:
-                return None               # order 2^m: x is a non-square
-        b = c
-        for _ in range(m - i - 1):
-            b = b * b
-        m, c = i, b * b
-        t, r = t * c, r * b
-    return r
+    if not x.n or not is_square(x):
+        return None if x.n else x
+    i = spec.log[x.n]
+    return Felt(spec, spec.exp[(i + i % 2 * (spec.order - 1)) // 2])
 
 
 def artin_schreier_root(t: Felt) -> Optional[Felt]:
@@ -455,5 +399,6 @@ def try_descend(z: ExtElt) -> Optional[Felt]:
     return z.u if not z.v else None
 
 def frobenius_q(z: ExtElt) -> ExtElt:
-    """z^q: the nontrivial automorphism of GF(q^2) over GF(q)."""
-    return z ** z.ext.base.order
+    """z^q: the nontrivial automorphism of GF(q^2) over GF(q), which swaps
+    the two roots w and -m1 - w of the modulus."""
+    return z.conjugate()

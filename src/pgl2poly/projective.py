@@ -155,9 +155,10 @@ class ProjMat:
             cur = cur * self.rep
             d += 1
             if d > q + 1:
-                raise AssertionError("projective order exceeded q+1")
+                raise ContractError("projective order exceeded q+1")
         allowed = {1, self.spec.p} | set(divisors(q - 1)) | set(divisors(q + 1))
-        assert d in allowed, f"order {d} outside the admissible divisor set"
+        if d not in allowed:
+            raise ContractError(f"order {d} outside the admissible divisor set")
         return d
 
     def encode(self) -> int:
@@ -191,7 +192,8 @@ def all_classes(spec: FieldSpec) -> list[ProjMat]:
             for d in spec.elements():
                 out.append(ProjMat(Mat2(zero, one, c, d)))
     q = spec.order
-    assert len(out) == q**3 - q
+    if len(out) != q**3 - q:
+        raise ContractError(f"{len(out)} classes instead of q^3 - q")
     return out
 
 
@@ -395,7 +397,8 @@ def sigma_product(m: Mat2, m0: Mat2) -> Mat2:
     s3 = -(b * c0 * c0 - a * c0 * d0 + d * d0 * c0 - c * d0 * d0)
     s4 = b * a0 * c0 - a * c0 * b0 + d * d0 * a0 - c * b0 * d0
     out = Mat2(s1, s2, s3, s4)
-    assert out.det == m.det * m0.det * m0.det
+    if out.det != m.det * m0.det * m0.det:
+        raise ContractError("sigma product must have det det(m) * det(m0)^2")
     return out
 
 
@@ -418,16 +421,17 @@ def power_closed_form(c: Felt, j: int) -> Mat2:
     ent_c = (powers[j + 1] * aq - qpowers[j + 1] * alpha) * delta
     ent_d = (qpowers[j + 1] - powers[j + 1]) * delta
     descended = [try_descend(z) for z in (ent_a, ent_b, ent_c, ent_d)]
-    assert all(x is not None for x in descended), "entries must lie in GF(q)"
+    if any(x is None for x in descended):
+        raise ContractError("entries must lie in GF(q)")
     a, b, cc, d = descended
     if not (a or b or cc or d):
-        raise AssertionError("zero matrix from closed form")
+        raise ContractError("zero matrix from closed form")
     result = Mat2(a, b, cc, d)
     D = ProjMat(base).order()
-    if j % D:
-        assert result.c, "lower-left entry must be nonzero off multiples of D"
-    else:
-        assert result.is_scalar()
+    if j % D and not result.c:
+        raise ContractError("lower-left entry must be nonzero off multiples of D")
+    if not j % D and not result.is_scalar():
+        raise ContractError("multiples of D must give a scalar matrix")
     return result
 
 
@@ -446,12 +450,15 @@ def element_of_order(spec: FieldSpec, D: int) -> ProjMat:
         ext = make_ext(spec)
         beta = element_of_mult_order(ext, (q - 1) * D)
         tr = try_descend(beta + frobenius_q(beta))
-        assert tr is not None and tr, "trace of beta must be a nonzero scalar"
+        if not tr:                        # None or zero
+            raise ContractError("trace of beta must be a nonzero scalar")
         alpha = beta * embed(tr).inverse()
         c = try_descend(alpha * alpha - alpha)
-        assert c is not None, "c must land in GF(q)"
+        if c is None:
+            raise ContractError("c must land in GF(q)")
         out = ProjMat(reduced_type4(spec, c))
     else:
         raise ValueError(f"no class of order {D} exists in PGL2(GF({q}))")
-    assert out.order() == D
+    if out.order() != D:
+        raise ContractError(f"built a class of order {out.order()}, not {D}")
     return out

@@ -16,9 +16,9 @@ from .fields import FieldSpec, smallest_nonsquare
 from .numutil import divisors
 from .polynomials import (Poly, divides, enumerate_monic_irreducibles,
                           gcd as poly_gcd, is_irreducible)
-from .projective import (Mat2, ProjMat, all_classes, element_of_order,
-                         reduced_type2, reduced_type3, reduced_type4,
-                         sigma_product)
+from .projective import (ContractError, Mat2, ProjMat, all_classes,
+                         element_of_order, reduced_type2, reduced_type3,
+                         reduced_type4, sigma_product)
 from .action import (F_poly, act, criterion_invariant, group_invariant,
                      invariant_set, is_cyclic, is_invariant, proj_act,
                      quadratic_invariants, subgroup_closure)
@@ -252,7 +252,8 @@ def inversion_consistency(spec: FieldSpec, c, max_m: int = 4):
             continue
         expect = mobius_inversion(lambda d: principal_character(D, d),
                                   lambda t: q**t + (1 if t % 2 else -1), mm)
-        assert expect % (D * mm) == 0
+        if expect % (D * mm):
+            raise ContractError("Moebius-inverted count must be divisible by D*m")
         expect //= D * mm
         for j in range(1, D):
             if int_gcd(j, D) == 1:
@@ -324,7 +325,8 @@ def _group_invariants_of_degree(spec, gens, n: int) -> list[Poly]:
                 if group_invariant(gens, f)]
     with_div = [g for g in gens if g.order() > 1 and n % g.order() == 0]
     if not with_div:
-        assert count_invariants_formula(gens[0].rep, n) == 0
+        if count_invariants_formula(gens[0].rep, n):
+            raise ContractError("no generator order divides n, yet the count is nonzero")
         return []
     anchor = with_div[0]
     candidates = generate_invariants(anchor.rep, n // anchor.order())
@@ -417,7 +419,8 @@ def suite_pgroup(spec: FieldSpec, seed: int = 12345, want: int = 5):
     for a, b in pairs:
         gens = [unipotent(a), unipotent(b)]
         group = subgroup_closure(gens)
-        assert len(group) == p * p
+        if len(group) != p * p:
+            raise ContractError("two independent unipotents must generate p^2 classes")
         for n in range(2, 7):
             hits = (quadratic_invariants(spec, gens) if n == 2
                     else _group_invariants_of_degree(spec, gens, n))

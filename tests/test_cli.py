@@ -27,14 +27,15 @@ def test_classify_rejects_singular_matrix():
     res = run_cli("classify", "--p", "3", "--s", "1", "--matrix", "1,1,1,1")
     assert res.returncode == 2
 
-def test_failed_internal_check_exits_one_under_optimize():
-    # a square root that returns its input gives x^2 - x + 1 over GF(7) the
-    # non-roots 2 and 6; the root check must still fire with asserts stripped
+def _assert_internal_failure_under_optimize(patch, argv):
+    # run main(argv) under python -O after the patch line; the internal
+    # check must still fire: exit 1, an error line, no traceback
     code = ("import sys\n"
             "import pgl2poly.projective as projective\n"
+            "import pgl2poly.rational as rational\n"
             "from pgl2poly.cli import main\n"
-            "projective.sqrt = lambda x: x\n"
-            "sys.exit(main(['classify', '--p', '7', '--matrix', '0,1,6,1']))\n")
+            f"{patch}\n"
+            f"sys.exit(main({argv!r}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     res = subprocess.run([sys.executable, "-O", "-c", code],
@@ -43,26 +44,36 @@ def test_failed_internal_check_exits_one_under_optimize():
     assert res.stderr.startswith("error: internal check failed:")
     assert "Traceback" not in res.stderr
 
+def test_failed_internal_check_exits_one_under_optimize():
+    # a square root that returns its input gives x^2 - x + 1 over GF(7) the
+    # non-roots 2 and 6
+    _assert_internal_failure_under_optimize(
+        "projective.sqrt = lambda x: x",
+        ["classify", "--p", "7", "--matrix", "0,1,6,1"])
+
 def test_failed_map_check_exits_one_under_optimize():
     # a Moebius substitution that swaps num and den breaks the fixed-point
-    # check inside q_map; it must fire with asserts stripped
-    code = ("import sys\n"
-            "import pgl2poly.rational as rational\n"
-            "from pgl2poly.cli import main\n"
-            "rational.substitute_mobius = lambda Q, m: rational.RationalMap(\n"
-            "    Q.den, Q.num, Q.degree)\n"
-            "sys.exit(main(['qmap', '--p', '5', '--matrix', '0,1,4,1']))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run([sys.executable, "-O", "-c", code],
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: internal check failed:")
-    assert "Traceback" not in res.stderr
+    # check inside q_map
+    _assert_internal_failure_under_optimize(
+        "rational.substitute_mobius = lambda Q, m: rational.RationalMap("
+        "Q.den, Q.num, Q.degree)",
+        ["qmap", "--p", "5", "--matrix", "0,1,4,1"])
+
+def test_failed_order_check_exits_one_under_optimize():
+    # with no admissible divisors the order 4 of diag(2, 1) over GF(5) is
+    # rejected by ProjMat.order
+    _assert_internal_failure_under_optimize(
+        "projective.divisors = lambda n: [1]",
+        ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")
     assert res.returncode == 2
+
+def test_field_above_the_table_limit_exits_two():
+    res = run_cli("classify", "--p", "2", "--s", "21", "--matrix", "0,1,1,0")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 def test_qmap_q3():

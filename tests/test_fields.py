@@ -117,7 +117,7 @@ def test_smallest_nonsquare_even_q_rejected():
 
 
 # q = 3, 5, 9, 13, 17, 25, 27, 41, 49, 81, 97: the 2-adic valuation of q - 1
-# takes every value 1..5, so each Tonelli-Shanks loop depth runs
+# takes every value 1..5
 @pytest.mark.parametrize("p,s", [(3, 1), (5, 1), (3, 2), (13, 1), (17, 1),
                                  (5, 2), (3, 3), (41, 1), (7, 2), (3, 4),
                                  (97, 1)])
@@ -236,3 +236,88 @@ def test_ext_field_axioms_sampled():
         assert (x * y) * z == x * (y * z)
         if x:
             assert x * x.inverse() == ext.one
+
+
+# ---------------------------------------------------------------------------
+# the log/Zech tables against an independent digit-vector reference
+
+def _digits(n, p, s):
+    return [n // p**i % p for i in range(s)]
+
+def _encode(digits, p):
+    return sum(d % p * p**i for i, d in enumerate(digits))
+
+def _ref_mul(spec, a, b):
+    # schoolbook product of the coordinate vectors, reduced by the modulus
+    p, s = spec.p, spec.s
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(_digits(a, p, s)):
+        for j, y in enumerate(_digits(b, p, s)):
+            prod[i + j] += x * y
+    for k in range(2 * s - 2, s - 1, -1):
+        c = prod[k] % p
+        for i, m in enumerate(spec.modulus):
+            prod[k - s + i] -= c * m
+    return _encode(prod[:s], p)
+
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                (5, 2), (3, 3), (7, 2), (2, 6), (3, 2, (2, 1, 1))]
+
+@pytest.mark.parametrize("case", TABLE_FIELDS, ids=str)
+def test_tables_match_digit_reference(case):
+    p, s = case[:2]
+    spec = make_field(p, s) if len(case) == 2 else FieldSpec(p, s, case[2])
+    q = spec.order
+    els = list(spec.elements())
+    prod = [[_ref_mul(spec, a, b) for b in range(q)] for a in range(q)]
+    inv = {a: prod[a].index(1) for a in range(1, q)}
+    for a, x in enumerate(els):
+        da = _digits(a, p, s)
+        assert (-x).encode() == _encode([-d for d in da], p)
+        for b, y in enumerate(els):
+            db = _digits(b, p, s)
+            assert (x + y).encode() == _encode([u + v for u, v in zip(da, db)], p)
+            assert (x - y).encode() == _encode([u - v for u, v in zip(da, db)], p)
+            assert (x * y).encode() == prod[a][b]
+            if b:
+                assert (x / y).encode() == prod[a][inv[b]]
+        with pytest.raises(ZeroDivisionError):
+            x / spec.zero
+        if a:
+            assert x.inverse().encode() == inv[a]
+        up, down = [1], [1]               # a^k and a^-k for k = 0..2q
+        for _ in range(2 * q):
+            up.append(prod[up[-1]][a])
+            down.append(prod[down[-1]][inv[a]] if a else None)
+        for e in range(-q, 2 * q + 1):
+            if a or e >= 0:
+                assert (x ** e).encode() == (up[e] if e >= 0 else down[-e])
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x ** e
+    squares = {prod[a][a] for a in range(q)}
+    for a, x in enumerate(els):
+        assert is_square(x) == (a in squares)
+        r = sqrt(x)
+        assert (r is None) == (a not in squares)
+        if r is not None:
+            assert prod[r.encode()][r.encode()] == a
+    if p > 2:
+        assert smallest_nonsquare(spec).encode() == min(set(range(q)) - squares)
+
+@pytest.mark.parametrize("modulus", [(0, 0, 1), (1, 0, 1)])   # x^2, (x + 1)^2
+def test_field_spec_rejects_a_reducible_modulus(modulus):
+    with pytest.raises(ValueError, match="not irreducible"):
+        FieldSpec(2, 2, modulus)
+
+def test_make_field_rejects_fields_above_the_table_limit():
+    for p, s in ((2, 21), (1031, 2), (1048583, 1), (3, 10**9)):
+        with pytest.raises(ValueError, match="too large"):
+            make_field(p, s)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_frobenius_is_the_q_th_power(p, s):
+    ext = make_ext(make_field(p, s))
+    for z in ext.elements():
+        assert frobenius_q(z) == z ** ext.base.order
