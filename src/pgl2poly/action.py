@@ -22,8 +22,8 @@ def act(m: Mat2, f: Poly) -> Poly:
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
     spec = m.spec
-    return homogenize(f.coeffs, Poly(spec, (m.c, m.a)), Poly(spec, (m.d, m.b)),
-                      f.degree)
+    return homogenize(f.coeffs, Poly(spec, (m.c.n, m.a.n)),
+                      Poly(spec, (m.d.n, m.b.n)), f.degree)
 
 
 def star_act(m: Mat2, f: Poly) -> Poly:
@@ -63,9 +63,9 @@ def F_poly(m: Mat2, r: int) -> Poly:
     coeffs = {qr + 1: m.b, 0: -m.c}
     coeffs[qr] = coeffs.get(qr, spec.zero) - m.a
     coeffs[1] = coeffs.get(1, spec.zero) + m.d
-    out = [spec.zero] * (qr + 2)
+    out = [0] * (qr + 2)
     for e, v in coeffs.items():
-        out[e] = v
+        out[e] = v.n
     return Poly(spec, out)
 
 

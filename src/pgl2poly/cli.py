@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,7 @@ DEFAULT_SEED = 12345
 
 
 def _poly_payload(f):
-    return {"text": to_text(f), "coeffs": [c.encode() for c in f.coeffs]}
+    return {"text": to_text(f), "coeffs": list(f.coeffs)}
 
 
 def _matrix_payload(m):
@@ -227,9 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)       # built on first use, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

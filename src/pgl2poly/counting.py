@@ -143,7 +143,7 @@ def quadratic_factor_of_F(c, j: int, mm: int):
     if any(F(x) == spec.zero for x in spec.elements()):
         raise ContractError("criterion polynomial must be free of linear factors")
     cinv = c.inverse()
-    quad = Poly(spec, (-cinv, cinv, spec.one))
+    quad = Poly(spec, ((-cinv).n, cinv.n, 1))
     if mm % 2 == 0:
         if not divides(quad, F):
             raise ContractError("even exponent must admit the quadratic factor")

@@ -196,7 +196,7 @@ def make_field(p: int, s: int) -> FieldSpec:
     if s == 1:
         return FieldSpec(p, 1, (0, 1))
     f = next(f for f in monic_polys(make_field(p, 1), s) if is_irreducible(f))
-    return FieldSpec(p, s, tuple(c.n for c in f.coeffs))
+    return FieldSpec(p, s, f.coeffs)
 
 
 # ---------------------------------------------------------------------------

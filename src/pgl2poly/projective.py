@@ -82,7 +82,7 @@ class Mat2:
 
     def char_poly(self) -> Poly:
         """x^2 - trace*x + det."""
-        return Poly(self.spec, (self.det, -self.trace, self.spec.one))
+        return Poly(self.spec, (self.det.n, (-self.trace).n, 1))
 
     def is_scalar(self) -> bool:
         return not self.b and not self.c and self.a == self.d
@@ -217,7 +217,7 @@ def _roots_in_field(f: Poly) -> list[Felt]:
     """Roots in GF(q) of the monic quadratic f, in encoding order (type 1
     with ratio -1 takes the first as its eigenvalue)."""
     spec = f.ring
-    c0, c1 = f.coeffs[0], f.coeffs[1]
+    c0, c1 = f.coeff(0), f.coeff(1)
     if spec.p == 2:
         if not c1:
             roots = [sqrt(c0)]                          # x^2 = c0: double root

@@ -5,15 +5,16 @@ Q = num/den of degree D, fixed by the Moebius substitution of the class,
 such that the invariants of degree D*m are exactly the monic rescalings of
 den^m * F(num/den) with F of degree m.  The map is assembled per type from
 the two linear forms of the conjugator; type 4 additionally builds a pair
-of polynomials over GF(q^2) from the eigenvalue and descends them.
+of polynomials from the powers of the eigenvalue in GF(q^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import linalg
-from .fields import frobenius_q, make_ext, try_descend
+from .fields import frobenius_q, try_descend
 from .polynomials import (Poly, divrem, enumerate_monic_irreducibles, gcd,
                           homogenize, is_irreducible, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
@@ -48,29 +49,28 @@ class QConstruction:
 def _linear_forms(p: Mat2) -> tuple[Poly, Poly]:
     # the two columns of p, read as a*x + c and b*x + d
     spec = p.spec
-    return Poly(spec, (p.c, p.a)), Poly(spec, (p.d, p.b))
+    return Poly(spec, (p.c.n, p.a.n)), Poly(spec, (p.d.n, p.b.n))
 
 
 def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
     """g = (T(x+T)^D - t(x+t)^D)/(T-t) and h = ((x+T)^D - (x+t)^D)/(T-t)
-    for t the eigenvalue and T its conjugate; both descend to GF(q)."""
+    for t the eigenvalue and T its conjugate; both descend to GF(q).
+
+    By the binomial theorem g_k = C(D,k) s(D-k+1) and h_k = C(D,k) s(D-k)
+    with s(j) = (T^j - t^j)/(T-t), which conjugation fixes.  C(D,k) is read
+    mod p, an element of the prime field whose encoding is itself."""
     spec = rf.reduced.spec
-    ext = make_ext(spec)
     theta = rf.eigenvalue
-    theta_q = frobenius_q(theta)
-    if try_descend(theta**D) is None:
+    powers = [theta**j for j in range(D + 2)]
+    if try_descend(powers[D]) is None:
         raise ContractError("theta^D must lie in GF(q)")
-    lin_t = Poly(ext, (theta, ext.one))
-    lin_tq = Poly(ext, (theta_q, ext.one))
-    dinv = (theta_q - theta).inverse()
-    g_ext = ((lin_tq**D).scale(theta_q) - (lin_t**D).scale(theta)).scale(dinv)
-    h_ext = ((lin_tq**D) - (lin_t**D)).scale(dinv)
-    def down(f_ext):
-        coeffs = [try_descend(c) for c in f_ext.coeffs]
-        if any(c is None for c in coeffs):
-            raise ContractError("coefficients must descend to GF(q)")
-        return Poly(spec, coeffs)
-    g, h = down(g_ext), down(h_ext)
+    dinv = (frobenius_q(theta) - theta).inverse()
+    s = [try_descend((frobenius_q(z) - z) * dinv) for z in powers]
+    if any(x is None for x in s):
+        raise ContractError("coefficients must descend to GF(q)")
+    binom = [spec.from_encoding(comb(D, k) % spec.p) for k in range(D + 1)]
+    g = Poly(spec, [(b * s[D - k + 1]).n for k, b in enumerate(binom)])
+    h = Poly(spec, [(b * s[D - k]).n for k, b in enumerate(binom)])
     if not (g.degree == D and g.is_monic and h.degree == D - 1):
         raise ContractError("type-4 pair must have degrees D (monic) and D-1")
     return g, h
@@ -167,14 +167,14 @@ def decompose(f: Poly, Q: RationalMap) -> Poly:
         raise ValueError(f"degree {f.degree} is not a multiple of {D}")
     mdeg = f.degree // D
     ring = f.ring
-    cols = [homogenize((ring.zero,) * j + (ring.one,), Q.num, Q.den, mdeg)
+    cols = [homogenize((0,) * j + (1,), Q.num, Q.den, mdeg)
             for j in range(mdeg + 1)]
     rows = [[col.coeff(i) for col in cols] for i in range(f.degree + 1)]
     rhs = [f.coeff(i) for i in range(f.degree + 1)]
     sol = linalg.solve(ring, rows, rhs)
     if sol is None:
         raise ValueError("polynomial is not a transform under this map")
-    F = Poly(ring, sol)
+    F = Poly(ring, [x.n for x in sol])
     if not F:
         raise ContractError("decomposition produced the zero polynomial")
     return monicize(F)[1]

@@ -57,8 +57,7 @@ def _random_nonzero_poly(spec, max_deg, rng) -> Poly:
     q = spec.order
     while True:
         deg = rng.randrange(max_deg + 1)
-        f = Poly(spec, tuple(spec.from_encoding(rng.randrange(q))
-                             for _ in range(deg + 1)))
+        f = Poly(spec, tuple(rng.randrange(q) for _ in range(deg + 1)))
         if f:
             return f
 

@@ -44,8 +44,8 @@ def test_criterion_01_worked_examples():
         ok = ok and substitute_mobius(Q, A) == Q.normalized()
         if p in expectations:
             num_c, den_c = expectations[p]
-            ok = ok and tuple(c.encode() for c in Q.num.coeffs) == num_c
-            ok = ok and tuple(c.encode() for c in Q.den.coeffs) == den_c
+            ok = ok and Q.num.coeffs == num_c
+            ok = ok and Q.den.coeffs == den_c
     elapsed = time.monotonic() - t0
     _finish(1, "worked-examples", ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
@@ -152,7 +152,7 @@ def test_criterion_09_type4_structure():
                     ok = ok and ((quad is not None) == (m % 2 == 0))
                     if quad is not None:
                         cinv = c.inverse()
-                        ok = ok and quad == Poly(spec, (-cinv, cinv, spec.one))
+                        ok = ok and quad == Poly(spec, ((-cinv).n, cinv.n, 1))
                         ok = ok and divides(quad, F_poly(base ** j, m))
                     checked += 1
     powers = 0

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from pgl2poly import (Poly, compose, derivative, divrem, divides,
-                      enumerate_monic_irreducibles, gcd, homogenize,
-                      is_irreducible, make_field, monic_polys, monicize,
-                      pow_mod, reciprocal, to_text)
+from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, compose, derivative,
+                      divrem, divides, enumerate_monic_irreducibles, gcd,
+                      homogenize, is_irreducible, make_field, monic_polys,
+                      monicize, pow_mod, reciprocal, to_text)
 
 
 def _mu(n):
@@ -45,9 +45,9 @@ def test_divrem_roundtrip_random():
     for p, s in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)):
         spec = make_field(p, s)
         for _ in range(1000):
-            f = Poly(spec, [spec.from_encoding(rng.randrange(spec.order))
+            f = Poly(spec, [rng.randrange(spec.order)
                             for _ in range(rng.randrange(1, 9))])
-            g = Poly(spec, [spec.from_encoding(rng.randrange(spec.order))
+            g = Poly(spec, [rng.randrange(spec.order)
                             for _ in range(rng.randrange(1, 6))])
             if not g:
                 continue
@@ -88,7 +88,7 @@ def test_derivative_kills_characteristic_terms(F3):
 def test_compose_associativity_random(F5):
     rng = random.Random(4)
     for _ in range(50):
-        f, g, h = (Poly(F5, [F5.from_encoding(rng.randrange(5))
+        f, g, h = (Poly(F5, [rng.randrange(5)
                              for _ in range(rng.randrange(1, 4))])
                    for _ in range(3))
         assert compose(f, compose(g, h)) == compose(compose(f, g), h)
@@ -108,17 +108,17 @@ def _naive_form(coeffs, u, v, k):
         vpow.append(vpow[-1] * v)
     out = Poly.zero(ring)
     for i, c in enumerate(coeffs):
-        out = out + (upow[i] * vpow[k - i]).scale(c)
+        out = out + (upow[i] * vpow[k - i]).scale(ring.from_encoding(c))
     return out
 
 @pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2)])
 def test_homogenize_matches_power_lists(p, s):
     ring = make_field(p, s)
     rng = random.Random(11)
-    zero = ring.zero
+    zero = 0
 
     def rand_poly(max_len):
-        return Poly(ring, [ring.from_encoding(rng.randrange(ring.order))
+        return Poly(ring, [rng.randrange(ring.order)
                            for _ in range(rng.randrange(0, max_len + 1))])
     for trial in range(150):
         u, v = rand_poly(3), rand_poly(3)
@@ -126,7 +126,7 @@ def test_homogenize_matches_power_lists(p, s):
             u = Poly.zero(ring)
         elif trial % 10 == 1:
             v = Poly.zero(ring)
-        coeffs = [ring.from_encoding(rng.randrange(ring.order))
+        coeffs = [rng.randrange(ring.order)
                   for _ in range(rng.randrange(0, 6))]
         if trial % 5 == 2:
             coeffs = [zero] + coeffs             # zero constant coefficient
@@ -139,7 +139,7 @@ def test_homogenize_matches_power_lists(p, s):
 def test_homogenize_rejects_short_form_degree(F3):
     x = Poly.x(F3)
     with pytest.raises(ValueError):
-        homogenize((F3.one, F3.one, F3.one), x, x, 1)
+        homogenize((1, 1, 1), x, x, 1)
 
 
 def test_reciprocal_self_reciprocal_linear(F2):
@@ -152,8 +152,8 @@ def test_reciprocal_reverses_coefficients(F3):
 def test_reciprocal_involution_off_zero_constant(F5):
     rng = random.Random(7)
     for _ in range(100):
-        coeffs = [F5.from_encoding(rng.randrange(1, 5))]
-        coeffs += [F5.from_encoding(rng.randrange(5)) for _ in range(rng.randrange(5))]
+        coeffs = [rng.randrange(1, 5)]
+        coeffs += [rng.randrange(5) for _ in range(rng.randrange(5))]
         f = Poly(F5, coeffs)
         assert reciprocal(reciprocal(f)) == f
 
@@ -210,3 +210,174 @@ def test_text_form(F3):
     assert to_text(Poly.of(F3, 2, 0, 1)) == "x^2+2"
     assert to_text(Poly.zero(F3)) == "0"
     assert to_text(Poly.of(F3, 0, 2)) == "2*x"
+
+
+# -- the table kernels against Felt-operator schoolbook loops ---------------
+
+KERNEL_FIELDS = [make_field(p, s) for p, s in
+                 ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                  (5, 2), (3, 3), (7, 2), (2, 6))] + [FieldSpec(3, 2, (2, 1, 1))]
+
+
+def _felts(f):
+    return [f.ring.from_encoding(c) for c in f.coeffs]
+
+def _from_felts(ring, coeffs):
+    return Poly(ring, [c.n for c in coeffs])
+
+def _ref_mul(f, g):
+    a, b = _felts(f), _felts(g)
+    if not a or not b:
+        return Poly.zero(f.ring)
+    out = [f.ring.zero] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                if d:
+                    out[i + j] = out[i + j] + c * d
+    return _from_felts(f.ring, out)
+
+def _ref_divrem(f, g):
+    ring = f.ring
+    if f.degree < g.degree:
+        return Poly.zero(ring), f
+    ginv = g.lc().inverse()
+    rem, gc, gdeg = _felts(f), _felts(g), g.degree
+    quot = [ring.zero] * (len(rem) - gdeg)
+    for k in range(len(rem) - gdeg - 1, -1, -1):
+        top = rem[k + gdeg]
+        if top:
+            c = top * ginv
+            quot[k] = c
+            for i in range(gdeg + 1):
+                rem[k + i] = rem[k + i] - c * gc[i]
+    return _from_felts(ring, quot), _from_felts(ring, rem[:gdeg])
+
+def _ref_add(f, g, sign):
+    a, b = _felts(f), _felts(g)
+    zero = f.ring.zero
+    n = max(len(a), len(b))
+    a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+    return _from_felts(f.ring, [x + y if sign > 0 else x - y for x, y in zip(a, b)])
+
+def _ref_eval(f, x):
+    acc = f.ring.zero
+    for c in reversed(_felts(f)):
+        acc = acc * x + c
+    return acc
+
+def _ref_pow_mod(base, e, modulus):
+    result = Poly.one(base.ring)
+    base = _ref_divrem(base, modulus)[1]
+    while e:
+        if e & 1:
+            result = _ref_divrem(_ref_mul(result, base), modulus)[1]
+        base = _ref_divrem(_ref_mul(base, base), modulus)[1]
+        e >>= 1
+    return result
+
+def _kernel_cases(ring, rng, count):
+    """Random polynomials of degree -1..40: the zero polynomial, a zero
+    constant term, non-monic tops and constants all occur."""
+    q = ring.order
+    out = [Poly.zero(ring), Poly.one(ring), Poly(ring, (q - 1,)),
+           Poly(ring, (1, 0, q - 1))]
+    for i in range(count):
+        deg = rng.choice((-1, 0, 1, 2, 5, 12, 20, 40)) if i % 3 else rng.randrange(41)
+        coeffs = [rng.randrange(q) for _ in range(deg + 1)]
+        if coeffs and i % 4 == 1:
+            coeffs[0] = 0
+        if coeffs and i % 5 == 2:
+            coeffs[-1] = rng.randrange(1, q)
+        out.append(Poly(ring, coeffs))
+    return out
+
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
+def test_kernels_match_felt_reference(ring):
+    rng = random.Random(ring.order * 31 + ring.modulus[0])
+    polys = _kernel_cases(ring, rng, 24)
+    points = list(ring.elements()) if ring.order <= 9 else [
+        ring.from_encoding(rng.randrange(ring.order)) for _ in range(6)]
+    for f in polys:
+        assert -f == _ref_add(Poly.zero(ring), f, -1)
+        for x in points:
+            assert f(x) == _ref_eval(f, x)
+            assert f.scale(x) == _ref_mul(f, Poly(ring, (x.n,)))
+        for g in rng.sample(polys, 6):
+            assert f * g == _ref_mul(f, g)
+            assert f + g == _ref_add(f, g, 1)
+            assert f - g == _ref_add(f, g, -1)
+            if g:
+                assert divrem(f, g) == _ref_divrem(f, g)
+    for _ in range(3):
+        modulus = next(g for g in rng.sample(polys, len(polys)) if g.degree >= 1)
+        if modulus.degree > 12:
+            modulus = Poly(ring, modulus.coeffs[:13])
+            if modulus.degree < 1:
+                continue
+        base, e = rng.choice(polys), rng.randrange(ring.order ** 3)
+        assert pow_mod(base, e, modulus) == _ref_pow_mod(base, e, modulus)
+
+def test_kernel_field_products_stay_out_of_felt(monkeypatch):
+    # pow_mod, act and divrem index the tables directly; the Felt-level
+    # schoolbook loops made 16,222 Felt products and sums on this case
+    F5 = make_field(5, 1)
+    rng = random.Random(12)
+    f = Poly(F5, [rng.randrange(5) for _ in range(12)] + [3])
+    dividend = Poly(F5, [rng.randrange(5) for _ in range(19)] + [2])
+    A = Mat2.from_encodings(F5, (2, 3, 1, 1))
+    calls = [0]
+    for name in ("__mul__", "__add__", "__sub__"):
+        def counted(x, y, _op=vars(Felt)[name]):
+            calls[0] += 1
+            return _op(x, y)
+        monkeypatch.setattr(Felt, name, counted)
+    pow_mod(Poly.x(F5), 5**12, f)
+    act(A, f)
+    divrem(dividend, f)
+    assert calls[0] <= 4
+
+
+# -- polynomials over different fields never mix ----------------------------
+
+MIXED = [((3, 1), (3, 2)), ((2, 1), (2, 2))]
+
+def _mixed_pair(small, big):
+    a, b = make_field(*small), make_field(*big)
+    return Poly.of(a, 1, 1, 1), Poly.of(b, 1, 1, 1), a, b
+
+BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
+          "mul": lambda f, g: f * g, "divrem": divrem, "gcd": gcd,
+          "divides": divides, "pow_mod": lambda f, g: pow_mod(f, 5, g),
+          "compose": compose,
+          "homogenize": lambda f, g: homogenize((1, 1), f, g, 2)}
+
+@pytest.mark.parametrize("small,big", MIXED)
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_binary_operations_reject_mixed_fields(small, big, name):
+    f, g, a, b = _mixed_pair(small, big)
+    for x, y in ((f, g), (g, f), (f, Poly.zero(b)), (Poly.zero(a), g)):
+        if name == "pow_mod" and not y:
+            continue                      # a zero modulus is refused first
+        with pytest.raises(ValueError, match="mixed field specs"):
+            BINARY[name](x, y)
+
+@pytest.mark.parametrize("small,big", MIXED)
+def test_field_value_arguments_reject_mixed_fields(small, big):
+    f, g, a, b = _mixed_pair(small, big)
+    with pytest.raises(ValueError, match="mixed field specs"):
+        f.scale(b.one)
+    with pytest.raises(ValueError, match="mixed field specs"):
+        f(b.one)
+    with pytest.raises(ValueError, match="mixed field specs"):
+        Poly.monomial(a, b.one, 2)
+
+@pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (2, 1), (2, 2)])
+def test_constructor_rejects_non_encodings(p, s):
+    ring = make_field(p, s)
+    for bad in (-1, ring.order, ring.order + 5, 1.0, "1", None, True, ring.one):
+        with pytest.raises(ValueError):
+            Poly(ring, (1, bad, 1))
+        with pytest.raises(ValueError):
+            homogenize((bad,), Poly.x(ring), Poly.one(ring), 1)
+    assert Poly(ring, (ring.order - 1, 0, 0)).coeffs == (ring.order - 1,)

@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
 
-from pgl2poly import (Mat2, Poly, ProjMat, RationalMap, act, decompose,
-                      enumerate_monic_irreducibles, generate_invariants,
-                      invariant_set, is_invariant, make_field, monicize,
-                      q_map, reduced_type1, reduced_type2, reduced_type3,
-                      reduced_type4, substitute_mobius, transform, try_descend)
+from pgl2poly import (TYPE4, Mat2, Poly, ProjMat, RationalMap, act, classify,
+                      decompose, enumerate_monic_irreducibles, frobenius_q,
+                      generate_invariants, invariant_set, is_invariant,
+                      make_field, monicize, q_map, reduce, reduced_type1,
+                      reduced_type2, reduced_type3, reduced_type4,
+                      substitute_mobius, transform, try_descend)
+from pgl2poly.rational import _type4_reduced_pair
 
 
 def test_q_map_worked_example_q3(F3):
@@ -128,8 +131,7 @@ def test_decompose_roundtrip_random(F5):
     A = Mat2.from_encodings(F5, (0, 1, 4, 1))
     Q = q_map(A).map
     for _ in range(60):
-        F = Poly(F5, [F5.from_encoding(rng.randrange(5)) for _ in range(3)]
-                 + [F5.one])
+        F = Poly(F5, [rng.randrange(5) for _ in range(3)] + [1])
         assert decompose(monicize(transform(F, Q))[1], Q) == monicize(F)[1]
 
 def test_decompose_rejects_non_transform(F2):
@@ -170,3 +172,46 @@ def test_fixed_point_suite_across_fields(p, s):
     from pgl2poly.verify import suite_qmap_fixed_point
     rows = suite_qmap_fixed_point(make_field(p, s), seed=29, samples=200)
     assert rows and all(r.passed for r in rows)
+
+
+# -- the type-4 pair from its closed form against the GF(q^2) expansion -----
+
+def _ext_poly_mul(a, b):
+    out = [a[0].ext.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+def _reference_type4_pair(rf, D):
+    # (x+t)^D and (x+T)^D by repeated products of coefficient lists, then
+    # g = (T(x+T)^D - t(x+t)^D)/(T-t), h = ((x+T)^D - (x+t)^D)/(T-t)
+    t = rf.eigenvalue
+    T = frobenius_q(t)
+    one = t.ext.one
+    pt, pT = [one], [one]
+    for _ in range(D):
+        pt, pT = _ext_poly_mul(pt, [t, one]), _ext_poly_mul(pT, [T, one])
+    dinv = (T - t).inverse()
+    g = [(T * y - t * x) * dinv for x, y in zip(pt, pT)]
+    h = [(y - x) * dinv for x, y in zip(pt, pT)]
+    spec = rf.reduced.spec
+    return tuple(Poly(spec, [try_descend(c).n for c in f]) for f in (g, h))
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49])
+def test_type4_pair_matches_extension_expansion(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    s = round(math.log(q, p))
+    spec = make_field(p, s)
+    checked = 0
+    for c in spec.elements():
+        if not c or classify(reduced_type4(spec, c)).kind != TYPE4:
+            continue
+        m = reduced_type4(spec, c)
+        D = ProjMat(m).order()
+        if D > 26:
+            continue
+        rf = reduce(m)
+        assert _type4_reduced_pair(rf, D) == _reference_type4_pair(rf, D)
+        checked += 1
+    assert checked
