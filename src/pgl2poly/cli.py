@@ -80,8 +80,6 @@ def cmd_classify(args) -> int:
 def cmd_qmap(args) -> int:
     spec = make_field(args.p, args.s)
     m = _parse_matrix(spec, args.matrix)
-    if ProjMat(m).is_identity():
-        raise ValueError("the identity class has no rational map")
     qc = q_map(m)                 # raises ContractError unless m fixes the map
     Q = qc.map
     payload = {
@@ -174,7 +172,7 @@ def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     rows = suite(spec, seed=args.seed)
     if args.format == "json":
-        print(json.dumps([row.__dict__ for row in rows], sort_keys=True))
+        print(json.dumps([row._asdict() for row in rows], sort_keys=True))
     else:
         print("suite\tname\tpassed\tdetail")
         for row in rows:

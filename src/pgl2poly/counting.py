@@ -84,11 +84,8 @@ def count_invariants_formula(m: Mat2, n: int) -> int:
     mm = n // D
     info = classify(m)
     q = m.spec.order
-    total = 0
-    for d in divisors(mm):
-        if int_gcd(d, D) == 1:
-            total += moebius_mu(d) * (q ** (mm // d) + eta(info, mm // d))
-    total *= euler_phi(D)
+    total = euler_phi(D) * mobius_inversion(lambda d: principal_character(D, d),
+                                            lambda t: q**t + eta(info, t), mm)
     if total % (D * mm):
         raise ContractError("formula value must be an integer")
     return total // (D * mm)

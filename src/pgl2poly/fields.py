@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from itertools import accumulate, dropwhile
 from operator import mul, not_
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from .numutil import is_prime, power, prime_factors
 from .polynomials import Poly, is_irreducible, monic_polys, pow_mod
@@ -357,7 +357,7 @@ def make_ext(spec: FieldSpec) -> ExtSpec:
 # ---------------------------------------------------------------------------
 # quadratic equations over GF(q) in O(log q) operations
 
-def sqrt(x: Felt) -> Optional[Felt]:
+def sqrt(x: Felt) -> Felt | None:
     """A square root of x, or None when x is not a square: g^(i/2) for
     x = g^i, where an odd i (even q only, q - 1 being odd) becomes i + q - 1."""
     spec = x.spec
@@ -367,7 +367,7 @@ def sqrt(x: Felt) -> Optional[Felt]:
     return Felt(spec, spec.exp[(i + i % 2 * (spec.order - 1)) // 2])
 
 
-def artin_schreier_root(t: Felt) -> Optional[Felt]:
+def artin_schreier_root(t: Felt) -> Felt | None:
     """A solution y of y^2 + y = t in GF(2^s), or None when Tr(t) = 1 and
     there is none.
 
@@ -394,7 +394,7 @@ def embed(x: Felt) -> ExtElt:
     ext = make_ext(x.spec)
     return ExtElt(ext, x, x.spec.zero)
 
-def try_descend(z: ExtElt) -> Optional[Felt]:
+def try_descend(z: ExtElt) -> Felt | None:
     """The base-field value of z, or None when z lies outside the base field."""
     return z.u if not z.v else None
 

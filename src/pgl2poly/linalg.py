@@ -1,7 +1,7 @@
 """Tiny exact linear algebra over a field spec: solve and nullspace.
 
 Rows are lists of field elements; systems here are at most a few hundred
-rows (polynomial coefficient matching) or 4x4 (conjugator search).
+rows (polynomial coefficient matching).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product
-from typing import Iterator
+from collections.abc import Iterator
 
 from .numutil import power, prime_factors
 

@@ -10,10 +10,8 @@ when they are opposite elements of GF(q^2) \\ GF(q) (type 3), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
-from . import linalg
 from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
                      element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
                      try_descend)
@@ -147,12 +145,18 @@ class ProjMat:
 
     def order(self) -> int:
         """Least D >= 1 with the D-th power scalar; always lands in
-        {1} | divisors(q-1) | {p} | divisors(q+1)."""
+        {1} | divisors(q-1) | {p} | divisors(q+1).
+
+        By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
+        with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A non-scalar A
+        has A^j scalar exactly when u_j = 0, so two field elements step."""
+        if self.is_identity():
+            return 1
         q = self.spec.order
-        d = 1
-        cur = self.rep
-        while not cur.is_scalar():
-            cur = cur * self.rep
+        tr, det = self.rep.trace, self.rep.det
+        d, u_prev, u = 1, self.spec.zero, self.spec.one
+        while u:
+            u_prev, u = u, tr * u - det * u_prev
             d += 1
             if d > q + 1:
                 raise ContractError("projective order exceeded q+1")
@@ -197,20 +201,10 @@ def all_classes(spec: FieldSpec) -> list[ProjMat]:
     return out
 
 
-@dataclass(frozen=True)
-class TypeInfo:
-    """Classification of a non-identity class: kind 1..4 plus its parameter
-    (a for type 1, b for type 3, c for type 4); kind 0 is the identity."""
-    kind: int
-    param: Optional[Felt] = None
-
-
-@dataclass(frozen=True)
-class ReducedForm:
-    info: TypeInfo
-    reduced: Mat2
-    conjugator: Mat2
-    eigenvalue: ExtElt
+# Classification of a non-identity class: kind 1..4 plus its parameter (a for
+# type 1, b for type 3, c for type 4); kind 0 is the identity.
+TypeInfo = namedtuple("TypeInfo", "kind param", defaults=(None,))
+ReducedForm = namedtuple("ReducedForm", "info reduced conjugator eigenvalue")
 
 
 def _roots_in_field(f: Poly) -> list[Felt]:
@@ -276,37 +270,22 @@ def _invertible(a: Felt, b: Felt, c: Felt, d: Felt) -> Mat2:
 
 
 def _min_encoding_conjugator(scaled: Mat2, target: Mat2) -> Mat2:
-    """Minimal-encoding invertible P with scaled*P = P*target.
+    """Minimal-encoding invertible P with scaled*P = P*target, for a target
+    [[0, 1], [c, t]] with scaled's characteristic polynomial x^2 - t*x - c.
 
-    The two matrices share an irreducible characteristic polynomial, so the
-    solutions form a 2-dimensional space V whose nonzero members are all
-    invertible (the maps commuting with an irreducible action form a field).
-    The encoding reads the entries (a, b, c, d) as base-q digits with d most
-    significant.  Let k be the highest index at which V has a nonzero entry:
-    the solutions vanishing at k form a line spanned by w (one elimination
-    step on a basis), and every other solution has a nonzero digit k, so
-    the minimum lies on that line.  Its points t*w differ first in the
-    leading nonzero entry of w, and t = 1/(that entry) makes it 1, the
-    least nonzero digit.
+    By columns P = [u | v] and P*target = [c*v | u + t*v], so u = (scaled-t)*v,
+    and then scaled*u = c*v holds by Cayley-Hamilton.  Every nonzero v gives
+    an invertible P, being no eigenvector of an irreducible action.  Read as
+    base-q digits (a, b, c, d), d most significant, P has d = v_2,
+    c = scaled.c*v_1 + (scaled.d - t)*v_2 and b = v_1.  The least d = 0 forces
+    v_1 != 0, so c = scaled.c*v_1 != 0 is least at 1: v = (1/scaled.c, 0) and
+    P = [[(scaled.a - t)/scaled.c, 1/scaled.c], [1, 0]].
     """
-    spec = scaled.spec
-    s_a, s_b, s_c, s_d = scaled.entries()
-    r_a, r_b, r_c, r_d = target.entries()
-    zero = spec.zero
-    rows = [
-        [s_a - r_a, -r_c, s_b, zero],
-        [-r_b, s_a - r_d, zero, s_b],
-        [s_c, zero, s_d - r_a, -r_c],
-        [zero, s_c, -r_b, s_d - r_d],
-    ]
-    basis = linalg.nullspace(spec, rows)
-    if len(basis) != 2:
-        raise ContractError("conjugator system must have a 2-dimensional kernel")
-    b0, b1 = basis
-    k = next(i for i in (3, 2, 1, 0) if b0[i] or b1[i])
-    w = [b1[k] * x - b0[k] * y for x, y in zip(b0, b1)]
-    scale = next(x for x in reversed(w) if x).inverse()
-    return _invertible(*(x * scale for x in w))
+    if not scaled.c:
+        raise ContractError("conjugator needs a nonzero lower-left entry")
+    inv = scaled.c.inverse()
+    return _invertible((scaled.a - target.d) * inv, inv,
+                       scaled.spec.one, scaled.spec.zero)
 
 
 def _ext_quadratic_root(spec: FieldSpec, c0: Felt, c1: Felt) -> ExtElt:

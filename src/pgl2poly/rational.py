@@ -10,7 +10,7 @@ of polynomials from the powers of the eigenvalue in GF(q^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from . import linalg
@@ -22,11 +22,8 @@ from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
 from .action import act
 
 
-@dataclass(frozen=True)
-class RationalMap:
-    num: Poly
-    den: Poly
-    degree: int
+class RationalMap(namedtuple("RationalMap", "num den degree")):
+    __slots__ = ()
 
     def normalized(self) -> "RationalMap":
         """Lowest terms with the pair scaled so the denominator is monic."""
@@ -40,10 +37,7 @@ class RationalMap:
         return f"({self.num!r})/({self.den!r})"
 
 
-@dataclass(frozen=True)
-class QConstruction:
-    map: RationalMap
-    source: ReducedForm
+QConstruction = namedtuple("QConstruction", "map source")
 
 
 def _linear_forms(p: Mat2) -> tuple[Poly, Poly]:
@@ -138,13 +132,10 @@ def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
     deg t_i = D*deg F_i >= 2, and t is reducible.  A factor whose image
     drops in degree (a constant image, say) only lowers deg t, and the
     degree check below drops that t as well."""
-    cls = ProjMat(m)
-    if cls.is_identity():
-        raise ValueError("the identity class fixes everything")
-    D = cls.order()
+    Q = q_map(m).map
+    D = Q.degree
     if D * mdeg <= 2:
         raise ValueError("generation requires D*m > 2")
-    Q = q_map(m).map
     found = set()
     for F in enumerate_monic_irreducibles(m.spec, mdeg):
         t = transform(F, Q)

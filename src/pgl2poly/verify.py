@@ -9,7 +9,7 @@ most suites), seeded sampling otherwise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd as int_gcd
 
 from .fields import FieldSpec, smallest_nonsquare
@@ -28,12 +28,7 @@ from .counting import (count_factors_of_degree, count_invariants_bruteforce,
                        mobius_inversion, principal_character)
 
 
-@dataclass
-class CheckRow:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+CheckRow = namedtuple("CheckRow", "suite name passed detail", defaults=("",))
 
 
 def _row(suite, name, passed, detail=""):
@@ -91,7 +86,7 @@ def type_representatives(spec: FieldSpec) -> list[tuple[str, Mat2]]:
 # ---------------------------------------------------------------------------
 # action laws
 
-def suite_action_laws(spec: FieldSpec, seed: int = 12345, samples: int = 1000):
+def suite_action_laws(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
     q = spec.order
     rows = []
@@ -104,7 +99,7 @@ def suite_action_laws(spec: FieldSpec, seed: int = 12345, samples: int = 1000):
                    for n in degrees for f in enumerate_monic_irreducibles(spec, n)]
     else:
         triples = []
-        for _ in range(samples):
+        for _ in range(1000):
             n = rng.choice(list(degrees))
             triples.append((_random_class(spec, rng), _random_class(spec, rng),
                             _random_irreducible(spec, n, rng)))
@@ -138,7 +133,7 @@ def suite_action_laws(spec: FieldSpec, seed: int = 12345, samples: int = 1000):
 # ---------------------------------------------------------------------------
 # criterion equivalence and the degree theorem
 
-def suite_criterion(spec: FieldSpec, seed: int = 12345, samples: int = 300):
+def suite_criterion(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
     q = spec.order
     rows = []
@@ -151,7 +146,7 @@ def suite_criterion(spec: FieldSpec, seed: int = 12345, samples: int = 300):
         degree_range = range(2, 7) if q <= 5 else range(2, 5)
         pairs = [(_random_class(spec, rng),
                   _random_irreducible(spec, rng.choice(list(degree_range)), rng))
-                 for _ in range(samples)]
+                 for _ in range(300)]
 
     mismatches = 0
     degree_theorem_ok = True
@@ -172,14 +167,14 @@ def suite_criterion(spec: FieldSpec, seed: int = 12345, samples: int = 300):
 # ---------------------------------------------------------------------------
 # conjugation correspondence
 
-def suite_conjugation(spec: FieldSpec, seed: int = 12345, samples: int = 6):
+def suite_conjugation(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
     q = spec.order
     degree_range = range(2, 7) if q <= 3 else range(2, 5)
     rows = []
     checked = 0
     ok = True
-    for _ in range(samples):
+    for _ in range(6):
         P = _random_matrix(spec, rng)
         A = _random_matrix(spec, rng)
         B = P * A * P.inverse()
@@ -198,10 +193,8 @@ def suite_conjugation(spec: FieldSpec, seed: int = 12345, samples: int = 6):
 # ---------------------------------------------------------------------------
 # counting: formula vs both oracles
 
-def suite_counting(spec: FieldSpec, seed: int = 12345, max_n: int | None = None):
-    q = spec.order
-    if max_n is None:
-        max_n = 8 if q <= 3 else 6
+def suite_counting(spec: FieldSpec, seed: int = 12345):
+    max_n = 8 if spec.order <= 3 else 6
     rows = []
     for label, rep in type_representatives(spec):
         cls = ProjMat(rep)
@@ -264,7 +257,7 @@ def inversion_consistency(spec: FieldSpec, c, max_m: int = 4):
 # ---------------------------------------------------------------------------
 # rational maps
 
-def suite_qmap_fixed_point(spec: FieldSpec, seed: int = 12345, samples: int = 200):
+def suite_qmap_fixed_point(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
     q = spec.order
     rows = []
@@ -272,7 +265,7 @@ def suite_qmap_fixed_point(spec: FieldSpec, seed: int = 12345, samples: int = 20
         classes = [cls for cls in all_classes(spec) if not cls.is_identity()]
     else:
         seen = set()
-        while len(seen) < samples:
+        while len(seen) < 200:
             cls = _random_class(spec, rng)
             if not cls.is_identity():
                 seen.add(cls)
@@ -291,11 +284,9 @@ def suite_qmap_fixed_point(spec: FieldSpec, seed: int = 12345, samples: int = 20
     return rows
 
 
-def suite_generation(spec: FieldSpec, seed: int = 12345, max_n: int | None = None):
+def suite_generation(spec: FieldSpec, seed: int = 12345):
     """Set equality of generated invariants against the brute-force sets."""
-    q = spec.order
-    if max_n is None:
-        max_n = 8 if q <= 3 else 6
+    max_n = 8 if spec.order <= 3 else 6
     rows = []
     for label, rep in type_representatives(spec):
         cls = ProjMat(rep)
@@ -332,7 +323,7 @@ def _group_invariants_of_degree(spec, gens, n: int) -> list[Poly]:
     return [f for f in candidates if group_invariant(gens, f)]
 
 
-def _sample_noncyclic_subgroups(spec, rng, want: int, max_size: int = 60):
+def _sample_noncyclic_subgroups(spec, rng, want: int):
     classes = [cls for cls in all_classes(spec) if not cls.is_identity()]
     small = [cls for cls in classes if cls.order() <= 4]
     found = []
@@ -343,13 +334,14 @@ def _sample_noncyclic_subgroups(spec, rng, want: int, max_size: int = 60):
         if g1 == g2:
             continue
         group = subgroup_closure([g1, g2])
-        if len(group) <= max_size and not is_cyclic(group):
+        if len(group) <= 60 and not is_cyclic(group):
             found.append(((g1, g2), group))
     return found
 
 
-def suite_noncyclic(spec: FieldSpec, seed: int = 12345, want: int = 20):
+def suite_noncyclic(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
+    want = 20
     q = spec.order
     rows = []
     if q == 2:
@@ -379,7 +371,7 @@ def suite_noncyclic(spec: FieldSpec, seed: int = 12345, want: int = 20):
     return rows
 
 
-def suite_pgroup(spec: FieldSpec, seed: int = 12345, want: int = 5):
+def suite_pgroup(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
     rows = []
     if spec.s == 1:
@@ -394,7 +386,7 @@ def suite_pgroup(spec: FieldSpec, seed: int = 12345, want: int = 5):
     seen_spans = set()
     pairs = []
     attempts = 0
-    while len(pairs) < want and attempts < 1000:
+    while len(pairs) < 5 and attempts < 1000:
         attempts += 1
         a = spec.from_encoding(rng.randrange(1, q))
         span_a = {spec.zero}
@@ -435,8 +427,9 @@ def suite_pgroup(spec: FieldSpec, seed: int = 12345, want: int = 5):
 # ---------------------------------------------------------------------------
 # sigma product
 
-def suite_sigma(spec: FieldSpec, seed: int = 12345, triples: int = 500):
+def suite_sigma(spec: FieldSpec, seed: int = 12345):
     rng = random.Random(seed)
+    samples = 500
     q = spec.order
     rows = []
     if q <= 3:
@@ -444,7 +437,7 @@ def suite_sigma(spec: FieldSpec, seed: int = 12345, triples: int = 500):
         det_pairs = [(A, B) for A in mats for B in mats]
     else:
         det_pairs = [(_random_matrix(spec, rng), _random_matrix(spec, rng))
-                     for _ in range(500)]
+                     for _ in range(samples)]
     det_ok = all(sigma_product(A, B).det == A.det * B.det * B.det
                  for A, B in det_pairs)
     rows.append(_row("sigma", "determinant-identity", det_ok,
@@ -452,7 +445,7 @@ def suite_sigma(spec: FieldSpec, seed: int = 12345, triples: int = 500):
 
     div_ok = True
     done = 0
-    while done < triples:
+    while done < samples:
         A = _random_matrix(spec, rng)
         if A.is_scalar():
             continue
@@ -465,7 +458,7 @@ def suite_sigma(spec: FieldSpec, seed: int = 12345, triples: int = 500):
             div_ok = False
         done += 1
     rows.append(_row("sigma", "criterion-divisibility", div_ok,
-                     f"{triples} triples, r <= 2"))
+                     f"{samples} triples, r <= 2"))
     return rows
 
 

@@ -66,6 +66,27 @@ def test_failed_order_check_exits_one_under_optimize():
         "projective.divisors = lambda n: [1]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
+def test_failed_conjugator_check_exits_one_under_optimize():
+    # with no roots in GF(5), diag(2, 1) is taken for type 4; its scaled
+    # form has a zero lower-left entry, so no conjugator of the closed form
+    # exists and the helper must refuse rather than divide by zero
+    _assert_internal_failure_under_optimize(
+        "projective._roots_in_field = lambda f: []",
+        ["classify", "--p", "5", "--matrix", "2,0,0,1"])
+
+def test_cli_import_skips_typing_dataclasses_and_inspect():
+    # start-up cost is mostly import; these three cost about 18 ms and the
+    # program needs none of them (-S keeps site from importing typing)
+    code = ("import sys\n"
+            "import pgl2poly.cli\n"
+            "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")
     assert res.returncode == 2

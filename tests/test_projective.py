@@ -147,6 +147,34 @@ def test_reduce_cost_is_logarithmic_in_q(monkeypatch):
     assert rf.info.kind == TYPE4 and rf.conjugator != Mat2.identity(spec)
     assert calls[0] < 2000
 
+def power_loop_order(cls):
+    # reference: multiply the representative until the power is scalar
+    d, cur = 1, cls.rep
+    while not cur.is_scalar():
+        cur = cur * cls.rep
+        d += 1
+    return d
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_order_matches_power_loop(p, s):
+    for cls in all_classes(make_field(p, s)):
+        assert cls.order() == power_loop_order(cls)
+
+def test_order_cost_is_two_products_per_power(monkeypatch):
+    # the order steps a two-term recurrence: two field products per power
+    spec = make_field(401, 1)
+    cls = element_of_order(spec, 402)
+    calls = [0]
+    mul = Felt.__mul__
+
+    def counted(x, y):
+        calls[0] += 1
+        return mul(x, y)
+    monkeypatch.setattr(Felt, "__mul__", counted)
+    assert cls.order() == 402
+    assert calls[0] <= 2 * (spec.order + 1)
+
 def test_conjugate_orders_agree(F5):
     rng = random.Random(3)
     for _ in range(100):

@@ -170,7 +170,7 @@ def test_generated_invariants_verify_directly(F3):
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2)])
 def test_fixed_point_suite_across_fields(p, s):
     from pgl2poly.verify import suite_qmap_fixed_point
-    rows = suite_qmap_fixed_point(make_field(p, s), seed=29, samples=200)
+    rows = suite_qmap_fixed_point(make_field(p, s), seed=29)
     assert rows and all(r.passed for r in rows)
 
 
