@@ -12,8 +12,8 @@ import functools
 from math import gcd as int_gcd
 
 from .fields import FieldSpec
-from .polynomials import (Poly, divides, enumerate_monic_irreducibles,
-                          homogenize, is_irreducible, monicize)
+from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
+                          homogenize, is_irreducible, monicize, pow_mod)
 from .projective import ContractError, Mat2, ProjMat
 
 
@@ -54,25 +54,27 @@ def is_invariant(cls: ProjMat, f: Poly) -> bool:
     return proj_act(cls, f) == f
 
 
+def _criterion_at(m: Mat2, y: Poly) -> Poly:
+    # (b*x - a)*y + d*x - c: the criterion polynomial with y for x^(q^r)
+    spec = m.spec
+    return Poly(spec, ((-m.a).n, m.b.n)) * y + Poly(spec, ((-m.c).n, m.d.n))
+
+
 def F_poly(m: Mat2, r: int) -> Poly:
     """The criterion polynomial b*x^(q^r+1) - a*x^(q^r) + d*x - c."""
     if r < 0:
         raise ValueError("r must be >= 0")
     spec = m.spec
-    qr = spec.order**r
-    coeffs = {qr + 1: m.b, 0: -m.c}
-    coeffs[qr] = coeffs.get(qr, spec.zero) - m.a
-    coeffs[1] = coeffs.get(1, spec.zero) + m.d
-    out = [0] * (qr + 2)
-    for e, v in coeffs.items():
-        out[e] = v.n
-    return Poly(spec, out)
+    return _criterion_at(m, Poly.monomial(spec, spec.one, spec.order**r))
 
 
 def criterion_invariant(m: Mat2, f: Poly) -> bool:
     """Invariance decided through the criterion polynomials: for deg f = Dm > 2
     it is enough to test divisibility into F at the exponents l*m with
-    l in [1, D-1] prime to D; degree-2 inputs fall back to the direct test."""
+    l in [1, D-1] prime to D; degree-2 inputs fall back to the direct test.
+
+    F is never built: f divides F iff it divides F with x^(q^r) replaced by
+    its residue mod f, which steps through r = 1, 2, ... by y <- y^q mod f."""
     _check_actable(f)
     n = f.degree
     cls = ProjMat(m)
@@ -84,8 +86,13 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     if n % D:
         return False
     mm = n // D
-    return any(divides(f, F_poly(m, ell * mm))
-               for ell in range(1, D) if int_gcd(ell, D) == 1)
+    y = Poly.x(m.spec)
+    for r in range(1, (D - 1) * mm + 1):
+        y = pow_mod(y, m.spec.order, f)                  # x^(q^r) mod f
+        if (r % mm == 0 and int_gcd(r // mm, D) == 1
+                and not divrem(_criterion_at(m, y), f)[1]):
+            return True
+    return False
 
 
 def subgroup_closure(generators) -> frozenset[ProjMat]:

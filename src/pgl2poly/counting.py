@@ -7,7 +7,8 @@ The closed count of degree-(D*m) invariants of a class of order D is
 
 with a per-type correction eta.  The brute-force oracle scans the monic
 irreducibles directly; the criterion oracle counts degree-(D*m) factors of
-the criterion polynomials of the powers A^j with gcd(j, D) = 1.
+the criterion polynomials of the powers A^j with gcd(j, D) = 1, by distinct
+degree and without enumerating irreducibles.
 
 Types 3 and 4 share the alternating eta: in both cases the criterion
 polynomial carries exactly one extra irreducible quadratic factor (x^2 - b,
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
-from .polynomials import Poly, divides, enumerate_monic_irreducibles
+from .polynomials import Poly, divides, gcd, pow_mod
 from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
                          TypeInfo, classify, reduced_type4)
 from .action import F_poly, invariant_set
@@ -99,13 +100,26 @@ def count_invariants_bruteforce(cls: ProjMat, n: int) -> int:
 
 
 def count_factors_of_degree(F: Poly, k: int) -> int:
-    """Distinct monic irreducible degree-k divisors of F, by trial division."""
+    """Distinct monic irreducible degree-k divisors of F, by distinct degree:
+    x^(q^j) - x is the squarefree product of the monic irreducibles of degree
+    dividing j, so deg gcd(x^(q^j) - x, F) = sum over d | j of d*c_d for the
+    counts c_d of distinct degree-d factors, squarefree F or not."""
     if not F:
         raise ValueError("factor counting needs a nonzero polynomial")
     if k < 1:
         raise ValueError("factor degree must be >= 1")
-    return sum(1 for f in enumerate_monic_irreducibles(F.ring, k)
-               if divides(f, F))
+    if F.degree < k:
+        return 0
+    q = F.ring.order
+    xpoly = Poly.x(F.ring)
+    counts = {}                                # d -> c_d, for d | k
+    t = xpoly
+    for j in range(1, k + 1):
+        t = pow_mod(t, q, F)                   # x^(q^j) mod F
+        if k % j == 0:
+            below = sum(d * c for d, c in counts.items() if j % d == 0)
+            counts[j] = (gcd(t - xpoly, F).degree - below) // j
+    return counts[k]
 
 
 def count_via_criterion(m: Mat2, mm: int) -> int:

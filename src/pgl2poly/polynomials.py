@@ -16,7 +16,7 @@ import functools
 from itertools import product
 from collections.abc import Iterator
 
-from .numutil import power, prime_factors
+from .numutil import power
 
 
 class Poly:
@@ -319,17 +319,21 @@ def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e mod modulus by repeated squaring."""
+    """base^e mod modulus for e >= 0, by square-and-multiply from the lowest
+    set bit of e, with no squaring after the highest one."""
     if modulus.degree < 1:
         raise ValueError("pow_mod modulus must have degree >= 1")
-    result = Poly.one(base.ring)
+    if e < 0:
+        raise ValueError(f"pow_mod requires e >= 0, got {e}")
+    result = None
     base = divrem(base, modulus)[1]
-    while e:
+    while True:
         if e & 1:
-            result = divrem(result * base, modulus)[1]
-        base = divrem(base * base, modulus)[1]
+            result = base if result is None else divrem(result * base, modulus)[1]
         e >>= 1
-    return result
+        if not e:
+            return Poly.one(base.ring) if result is None else result
+        base = divrem(base * base, modulus)[1]
 
 
 def derivative(f: Poly) -> Poly:
@@ -353,8 +357,10 @@ def _has_root(f: Poly) -> bool:
 
 @functools.lru_cache(maxsize=1 << 17)
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test: x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for
-    every prime r dividing n = deg f."""
+    """Ben-Or test: f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
+    for i = 1..n/2 (i = 1 is the root test).  x^(q^i) - x is the product of
+    the monic irreducibles of degree dividing i; a reducible f, squarefree or
+    not, has such a factor for some i <= n/2, and an irreducible f has none."""
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")
@@ -367,16 +373,13 @@ def is_irreducible(f: Poly) -> bool:
     if n <= 3:
         return True
     q = f.ring.order
-    one = Poly.one(f.ring)
     xpoly = Poly.x(f.ring)
-    milestones = {n // r for r in prime_factors(n)}
-    t = xpoly
-    for k in range(1, n + 1):
-        t = pow_mod(t, q, f)               # t = x^(q^k) mod f
-        if k in milestones and k < n:
-            if gcd(t - xpoly, f) != one:
-                return False
-    return t == xpoly
+    t = pow_mod(xpoly, q, f)                   # x^q mod f
+    for _ in range(2, n // 2 + 1):
+        t = pow_mod(t, q, f)                   # x^(q^i) mod f
+        if gcd(t - xpoly, f).degree:
+            return False
+    return True
 
 
 def monic_polys(ring, n: int) -> Iterator[Poly]:

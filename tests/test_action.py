@@ -1,13 +1,15 @@
 import random
+from math import gcd
 
 import pytest
 
 from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, criterion_invariant,
-                      enumerate_monic_irreducibles, group_invariant,
+                      divides, enumerate_monic_irreducibles, group_invariant,
                       is_cyclic, is_invariant, make_field, proj_act,
                       quadratic_invariants, reciprocal, reduced_type2,
                       reduced_type3, reduced_type4, star_act,
                       subgroup_closure)
+from pgl2poly.verify import type_representatives
 
 
 def _rand_matrix(spec, rng):
@@ -111,6 +113,27 @@ def test_criterion_agreement_sampled(F5):
             A = _rand_matrix(F5, rng)
             f = rng.choice(pool)
             assert criterion_invariant(A, f) == is_invariant(ProjMat(A), f)
+
+def _criterion_by_division(m, f):
+    # the rule criterion_invariant replaced: build each F and divide
+    n = f.degree
+    cls = ProjMat(m)
+    D = cls.order()
+    if n == 2:
+        return is_invariant(cls, f)
+    if n % D:
+        return False
+    mm = n // D
+    return any(divides(f, F_poly(m, ell * mm))
+               for ell in range(1, D) if gcd(ell, D) == 1)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2)])
+def test_criterion_matches_division_into_F(p, s):
+    spec = make_field(p, s)
+    for _, rep in type_representatives(spec):
+        for n in range(2, 7):
+            for f in enumerate_monic_irreducibles(spec, n):
+                assert criterion_invariant(rep, f) == _criterion_by_division(rep, f)
 
 
 def test_closure_of_swap(F3):

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
-                      classify, count_factors_of_degree,
+                      classify, count_factors_of_degree, divides,
                       count_invariants_bruteforce, count_invariants_formula,
                       count_via_criterion, enumerate_monic_irreducibles, eta,
                       euler_phi, invariant_set,
@@ -12,7 +13,7 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
                       principal_character, quadratic_factor_of_F,
                       reduced_type2, reduced_type3, reduced_type4)
 from pgl2poly.numutil import divisors
-from pgl2poly.verify import inversion_consistency
+from pgl2poly.verify import inversion_consistency, type_representatives
 
 
 def test_arithmetic_function_values():
@@ -109,10 +110,60 @@ def test_count_factors_examples(F2):
     assert count_factors_of_degree(F_poly(reduced_type4(F2, F2.one), 1), 1) == 0
 
 
+def count_factors_by_trial_division(F, k):
+    # the reference that distinct-degree counting replaced: divide F by every
+    # monic irreducible of degree k
+    return sum(1 for f in enumerate_monic_irreducibles(F.ring, k)
+               if divides(f, F))
+
+# q -> (p, s, highest factor degree); trial division by every degree-k
+# irreducible bounds k over GF(9)
+REFERENCE_FIELDS = {2: (2, 1, 6), 3: (3, 1, 6), 4: (2, 2, 6), 5: (5, 1, 6),
+                    9: (3, 2, 4)}
+
+@pytest.mark.parametrize("q", sorted(REFERENCE_FIELDS))
+def test_count_factors_matches_trial_division(q):
+    p, s, top = REFERENCE_FIELDS[q]
+    spec = make_field(p, s)
+    rng = random.Random(q)
+    cases = []
+    for trial in range(16):
+        # a non-monic product of random irreducibles and a random cofactor;
+        # every other case squares one of the irreducibles
+        factors = [rng.choice(enumerate_monic_irreducibles(spec, rng.randint(1, top)))
+                   for _ in range(rng.randint(1, 3))]
+        if trial % 2:
+            factors.append(factors[0])
+        F = Poly(spec, [rng.randrange(q) for _ in range(rng.randint(0, 4))]
+                 + [rng.randrange(1, q)])
+        for f in factors:
+            F = F * f
+        cases.append(F)
+    for _, rep in type_representatives(spec):
+        r = 1
+        while q**r + 1 <= 100:
+            cases.append(F_poly(rep, r))
+            r += 1
+    for F in cases:
+        for k in range(1, top + 1):
+            assert count_factors_of_degree(F, k) == count_factors_by_trial_division(F, k)
+
+
 def test_count_via_criterion_examples(F2, F3, F5):
     assert count_via_criterion(reduced_type4(F2, F2.one), 1) == 2
     assert count_via_criterion(reduced_type3(F3, F3.from_encoding(2)), 2) == 2
     assert count_via_criterion(Mat2.from_encodings(F5, (4, 0, 0, 1)), 2) == 6
+
+def test_count_via_criterion_needs_no_enumeration(monkeypatch, F2, F3, F5):
+    # the criterion oracle must stay independent of the brute-force oracle's
+    # enumeration: refuse it on every binding
+    def refuse(*args):
+        raise RuntimeError("the criterion oracle enumerated irreducibles")
+    for name, module in list(sys.modules.items()):
+        if ((name == "pgl2poly" or name.startswith("pgl2poly."))
+                and hasattr(module, "enumerate_monic_irreducibles")):
+            monkeypatch.setattr(module, "enumerate_monic_irreducibles", refuse)
+    test_count_via_criterion_examples(F2, F3, F5)
 
 def test_count_via_criterion_rejects_small(F2):
     with pytest.raises(ValueError):
@@ -146,7 +197,6 @@ def test_inversion_consistency_type4_f2(F2):
     rows = inversion_consistency(F2, F2.one, max_m=4)
     assert rows and all(expect == got for _, _, expect, got in rows)
 
-@pytest.mark.slow
 def test_inversion_consistency_type4_f2_deep(F2):
     rows = inversion_consistency(F2, F2.one, max_m=6)
     assert rows and all(expect == got for _, _, expect, got in rows)

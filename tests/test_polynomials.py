@@ -97,6 +97,18 @@ def test_pow_mod_matches_plain_power(F3):
     base = Poly.of(F3, 1, 1)
     mod = Poly.of(F3, 1, 0, 1)
     assert pow_mod(base, 7, mod) == divrem(base ** 7, mod)[1]
+    # e = 0, 1, the powers of two and everything between, against a
+    # running product; the base is unreduced (degree above the modulus)
+    big = Poly.of(F3, 2, 1, 0, 1, 2)
+    mod = Poly.of(F3, 1, 2, 0, 1)
+    acc = Poly.one(F3)
+    for e in range(41):
+        assert pow_mod(big, e, mod) == acc
+        acc = divrem(acc * big, mod)[1]
+
+def test_pow_mod_rejects_negative_exponent(F3):
+    with pytest.raises(ValueError):
+        pow_mod(Poly.x(F3), -1, Poly.of(F3, 1, 0, 1))
 
 
 def _naive_form(coeffs, u, v, k):
@@ -170,10 +182,14 @@ def test_irreducible_rejects_constants(F2):
     with pytest.raises(ValueError):
         is_irreducible(Poly.one(F2))
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_irreducible_against_trial_division(p):
-    spec = make_field(p, 1)
-    for n in range(2, 7):
+# q -> (p, s, highest degree checked)
+TRIAL_FIELDS = {2: (2, 1, 6), 3: (3, 1, 6), 4: (2, 2, 5), 5: (5, 1, 4)}
+
+@pytest.mark.parametrize("q", sorted(TRIAL_FIELDS))
+def test_irreducible_against_trial_division(q):
+    p, s, top = TRIAL_FIELDS[q]
+    spec = make_field(p, s)
+    for n in range(2, top + 1):
         for f in monic_polys(spec, n):
             by_trial = not any(divides(g, f)
                                for d in range(1, n // 2 + 1)
