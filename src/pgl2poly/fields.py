@@ -87,17 +87,25 @@ def _tables(p: int, s: int, modulus: tuple[int, ...]):
         # one walk: multiply by g by Horner on its digits, where x*t shifts t
         # and folds the top digit back in by x^s = -(m_0 + ... + m_{s-1} x^{s-1})
         high_first = list(dropwhile(not_, reversed(digits(g))))
-        tail = [(-m) % p for m in modulus[:s]]
-        weights = [p**i for i in range(s)]
-        cur, exp = digits(1), []
-        for _ in range(q - 1):
-            exp.append(sum(map(mul, cur, weights)))
-            acc = [0] * s
-            for c in high_first:
-                top = acc[-1]
-                acc = [(a + top * m + c * t) % p
-                       for a, m, t in zip([0] + acc[:-1], tail, cur)]
-            cur = acc
+        if p == 2:          # an encoding is its bit vector: x*t shifts, + is XOR
+            m, exp = sum(c << i for i, c in enumerate(modulus)), [1]
+            for _ in range(q - 2):
+                acc = 0
+                for c in high_first:
+                    acc = acc << 1 ^ (m if acc >> s - 1 else 0) ^ (exp[-1] if c else 0)
+                exp.append(acc)
+        else:
+            tail = [(-m) % p for m in modulus[:s]]
+            weights = [p**i for i in range(s)]
+            cur, exp = digits(1), []
+            for _ in range(q - 1):
+                exp.append(sum(map(mul, cur, weights)))
+                acc = [0] * s
+                for c in high_first:
+                    top = acc[-1]
+                    acc = [(a + top * m + c * t) % p
+                           for a, m, t in zip([0] + acc[:-1], tail, cur)]
+                cur = acc
     log = [-1] * q
     for i, n in enumerate(exp):
         log[n] = i

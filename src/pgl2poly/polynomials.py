@@ -4,10 +4,13 @@ Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
 .coeffs, homogenize); single field values are Felt (lc, coeff, evaluation,
-scale, monomial).  The kernels index the field's tables: a product is
-exp[log a + log b], a sum a + g^t is exp[log a + zech[(t - log a) mod (q-1)]].
-Partial sums are kept as logs (-1 for zero), reduced mod q - 1 only when
-they turn back into encodings.
+scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
+-1 for zero) in three kernels: _mul_logs (a term is log a + log b), _add_logs
+(g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
+-g/lc, taken once per divisor by _reducer).  Partial sums may pass q - 1
+inside a kernel; every log it returns is reduced mod q - 1 and the list
+trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain kernels and
+convert from and to encodings once per call.
 """
 
 from __future__ import annotations
@@ -23,11 +26,7 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs=()):
-        coeffs = tuple(coeffs)
-        for c in coeffs:
-            if type(c) is not int or not 0 <= c < ring.order:
-                raise ValueError(f"coefficient {c!r} is not an encoding of {ring!r}")
-        self.ring, self.coeffs = ring, _trim(coeffs)
+        self.ring, self.coeffs = ring, _checked(ring, coeffs)
 
     # -- constructors ------------------------------------------------------
 
@@ -51,6 +50,8 @@ class Poly:
     @classmethod
     def monomial(cls, ring, coeff, exponent: int) -> "Poly":
         _same(ring, coeff.spec)
+        if exponent < 0:
+            raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
         return cls(ring, (0,) * exponent + (coeff.n,))
 
     # -- basic queries -----------------------------------------------------
@@ -84,11 +85,7 @@ class Poly:
 
     def encode(self) -> int:
         """Integer encoding: sum of coefficient encodings in base q."""
-        q = self.ring.order
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * q + c
-        return e
+        return sum(c * self.ring.order**i for i, c in enumerate(self.coeffs))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -99,34 +96,16 @@ class Poly:
         return _add(self, other, self.ring.neg)
 
     def __neg__(self) -> "Poly":
-        return _scaled(self, self.ring.p - 1)         # -1 lies in GF(p)
+        return Poly.zero(self.ring) - self
 
     def __mul__(self, other: "Poly") -> "Poly":
         ring = self.ring
         _same(ring, other.ring)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _poly(ring, ())
-        log, zech, m = ring.log, ring.zech, ring.order - 1
-        terms = [(j, log[d]) for j, d in enumerate(b) if d]
-        acc = [-1] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                lc = log[c]
-                for j, t in terms:
-                    j += i
-                    x = acc[j]
-                    t += lc
-                    if x < 0:
-                        acc[j] = t
-                    else:
-                        z = zech[(t - x) % m]
-                        acc[j] = x + z if z >= 0 else -1
-        return _from_logs(ring, acc)
+        return _from_logs(ring, _mul_logs(ring, _logs(self), _logs(other)))
 
     def scale(self, c) -> "Poly":
         _same(self.ring, c.spec)
-        return _scaled(self, c.n)
+        return self * _poly(self.ring, (c.n,))
 
     def __pow__(self, e: int) -> "Poly":
         return power(self, e, Poly.one(self.ring))      # ValueError for e < 0
@@ -138,6 +117,15 @@ class Poly:
 
     def __repr__(self):
         return to_text(self)
+
+
+def _checked(ring, coeffs) -> tuple:
+    # the trimmed tuple of coeffs, each checked to be an encoding of ring
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if type(c) is not int or not 0 <= c < ring.order:
+            raise ValueError(f"coefficient {c!r} is not an encoding of {ring!r}")
+    return _trim(coeffs)
 
 
 def _trim(coeffs):
@@ -161,39 +149,93 @@ def _same(ring, other):
                          f"{other.describe()}")
 
 
+# -- the log-list kernels ----------------------------------------------------
+
+def _logs(f: Poly) -> list:
+    log = f.ring.log                               # log[0] = -1
+    return [log[c] for c in f.coeffs]
+
+
 def _from_logs(ring, logs) -> Poly:
-    exp, m = ring.exp, ring.order - 1
-    return _poly(ring, [exp[x % m] if x >= 0 else 0 for x in logs])
+    exp = ring.exp                                 # logs are reduced
+    return _poly(ring, [exp[x] if x >= 0 else 0 for x in logs])
+
+
+def _mul_logs(ring, a: list, b: list) -> list:
+    # the product a * b
+    if not a or not b:
+        return []
+    zech, m = ring.zech, ring.order - 1
+    terms = [(j, t) for j, t in enumerate(b) if t >= 0]
+    acc = [-1] * (len(a) + len(b) - 1)
+    for i, s in enumerate(a):
+        if s >= 0:
+            for j, t in terms:
+                j += i
+                x = acc[j]
+                t += s
+                if x < 0:
+                    acc[j] = t
+                else:
+                    z = zech[(t - x) % m]
+                    acc[j] = x + z if z >= 0 else -1
+    return [x % m if x > 0 else x for x in acc]   # a[-1] * b[-1] is nonzero
+
+
+def _add_logs(ring, acc: list, b: list, shift: int) -> list:
+    # acc += b * g^shift, in place
+    zech, m = ring.zech, ring.order - 1
+    acc += [-1] * (len(b) - len(acc))
+    for i, t in enumerate(b):
+        if t >= 0:
+            t += shift
+            x = acc[i]
+            if x < 0:
+                acc[i] = t % m
+            else:
+                z = zech[(t - x) % m]
+                acc[i] = (x + z) % m if z >= 0 else -1
+    while acc and acc[-1] < 0:
+        acc.pop()
+    return acc
+
+
+def _reducer(ring, g: list) -> tuple:
+    # (deg g, log 1/lc, [(i, log(-g_i/lc)) for the nonzero g_i below the top])
+    m, d = ring.order - 1, len(g) - 1
+    li = -g[d] % m
+    return d, li, [(i, (t + ring.neg + li) % m) for i, t in enumerate(g[:d]) if t >= 0]
+
+
+def _rem_logs(ring, r: list, reducer: tuple) -> list:
+    # the remainder of r by the reducer's g, dividing in place: the quotient's
+    # logs are left in r[deg g:]
+    d, li, ng = reducer
+    zech, m = ring.zech, ring.order - 1
+    for k in range(len(r) - d - 1, -1, -1):
+        top = r[k + d]
+        if top >= 0:
+            r[k + d] = (top + li) % m
+            for i, t in ng:
+                i += k
+                x = r[i]
+                t += top
+                if x < 0:
+                    r[i] = t
+                else:
+                    z = zech[(t - x) % m]
+                    r[i] = x + z if z >= 0 else -1
+    rem = [x % m if x > 0 else x for x in r[:d]]   # 0 and -1 stay
+    while rem and rem[-1] < 0:
+        rem.pop()
+    return rem
 
 
 def _add(f: Poly, g: Poly, shift: int) -> Poly:
     # f + g*g0^shift: shift is 0 for a sum and log(-1) for a difference
     ring = f.ring
     _same(ring, g.ring)
-    exp, log, zech, m = ring.exp, ring.log, ring.zech, ring.order - 1
-    out = list(f.coeffs)
-    out += [0] * (len(g.coeffs) - len(out))
-    for i, c in enumerate(g.coeffs):
-        if c:
-            t = log[c] + shift
-            x = out[i]
-            if x:
-                x = log[x]
-                z = zech[(t - x) % m]
-                out[i] = exp[x + z] if z >= 0 else 0
-            else:
-                out[i] = exp[t]
-    return _poly(ring, out)
-
-
-def _scaled(f: Poly, n: int) -> Poly:
-    # f times the element with encoding n
-    ring = f.ring
-    if not n:
-        return _poly(ring, ())
-    exp, log = ring.exp, ring.log
-    ln = log[n]
-    return _poly(ring, [exp[log[a] + ln] if a else 0 for a in f.coeffs])
+    return _from_logs(ring, _add_logs(ring, _logs(f), _logs(g), shift))
 
 
 def _eval(f: Poly, n: int) -> int:
@@ -239,29 +281,9 @@ def divrem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     _same(ring, g.ring)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    if f.degree < g.degree:
-        return _poly(ring, ()), f
-    exp, log, zech, m = ring.exp, ring.log, ring.zech, ring.order - 1
-    gc = g.coeffs
-    d = len(gc) - 1
-    li = m - log[gc[d]]                            # log of 1/lc(g)
-    ng = [(i, log[c] + ring.neg + li) for i, c in enumerate(gc[:d]) if c]  # -g/lc
-    rem = [log[c] for c in f.coeffs]               # log[0] = -1
-    quot = [0] * (len(rem) - d)
-    for k in range(len(rem) - d - 1, -1, -1):
-        top = rem[k + d]
-        if top >= 0:
-            quot[k] = exp[(top + li) % m]
-            for i, t in ng:
-                i += k
-                x = rem[i]
-                t += top
-                if x < 0:
-                    rem[i] = t
-                else:
-                    z = zech[(t - x) % m]
-                    rem[i] = x + z if z >= 0 else -1
-    return _poly(ring, quot), _from_logs(ring, rem[:d])
+    r, d = _logs(f), g.degree
+    rem = _rem_logs(ring, r, _reducer(ring, _logs(g)))
+    return _from_logs(ring, r[d:]), _from_logs(ring, rem)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -281,22 +303,25 @@ def monicize(f: Poly):
 
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
-    _same(f.ring, g.ring)
+    ring = f.ring
+    _same(ring, g.ring)
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    while g:
-        f, g = g, divrem(f, g)[1]
-    return monicize(f)[1]
+    a = _gcd_logs(ring, _logs(f), _logs(g))
+    return _from_logs(ring, _add_logs(ring, [], a, -a[-1]))          # monic
+
+
+def _gcd_logs(ring, a: list, b: list) -> list:
+    # the last nonzero remainder of Euclid's loop; a and b are consumed
+    while b:
+        a, b = b, _rem_logs(ring, a, _reducer(ring, b))
+    return a
 
 
 def compose(f: Poly, g: Poly) -> Poly:
-    """f(g(x)), by Horner in the polynomial ring."""
-    ring = f.ring
-    _same(ring, g.ring)
-    acc = Poly.zero(ring)
-    for c in reversed(f.coeffs):
-        acc = acc * g + _poly(ring, (c,))
-    return acc
+    """f(g(x)): the form sum f_i g^i 1^(deg f - i)."""
+    _same(f.ring, g.ring)
+    return homogenize(f.coeffs, g, Poly.one(f.ring), f.degree)
 
 
 def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
@@ -305,17 +330,19 @@ def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
     running power of v."""
     ring = u.ring
     _same(ring, v.ring)
-    coeffs = Poly(ring, coeffs).coeffs
+    coeffs = _checked(ring, coeffs)
     top = len(coeffs) - 1
     if k < top:
         raise ValueError(f"form degree {k} is below the coefficient degree {top}")
-    acc = Poly.zero(ring)
-    vp = v ** (k - top)
-    for i in range(top, -1, -1):
-        acc = acc * u + _scaled(vp, coeffs[i])
+    log, lu, lv = ring.log, _logs(u), _logs(v)
+    acc, vp = [], [0]                              # vp = v^(k-i), logs
+    for i in range(k, -1, -1):
+        acc = _mul_logs(ring, acc, lu)
+        if i <= top and coeffs[i]:
+            acc = _add_logs(ring, acc, vp, log[coeffs[i]])
         if i:
-            vp = vp * v
-    return acc
+            vp = _mul_logs(ring, vp, lv)
+    return _from_logs(ring, acc)
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
@@ -325,15 +352,23 @@ def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
         raise ValueError("pow_mod modulus must have degree >= 1")
     if e < 0:
         raise ValueError(f"pow_mod requires e >= 0, got {e}")
+    ring = modulus.ring
+    _same(ring, base.ring)
+    red = _reducer(ring, _logs(modulus))
+    return _from_logs(ring, _pow_logs(ring, _rem_logs(ring, _logs(base), red), e, red))
+
+
+def _pow_logs(ring, b: list, e: int, red: tuple) -> list:
+    # b^e mod the reducer's g, for b of lower degree
     result = None
-    base = divrem(base, modulus)[1]
     while True:
         if e & 1:
-            result = base if result is None else divrem(result * base, modulus)[1]
+            result = b if result is None else _rem_logs(
+                ring, _mul_logs(ring, result, b), red)
         e >>= 1
         if not e:
-            return Poly.one(base.ring) if result is None else result
-        base = divrem(base * base, modulus)[1]
+            return [0] if result is None else result
+        b = _rem_logs(ring, _mul_logs(ring, b, b), red)
 
 
 def derivative(f: Poly) -> Poly:
@@ -351,10 +386,6 @@ def reciprocal(f: Poly) -> Poly:
     return _poly(f.ring, f.coeffs[::-1])
 
 
-def _has_root(f: Poly) -> bool:
-    return any(not _eval(f, n) for n in range(f.ring.order))
-
-
 @functools.lru_cache(maxsize=1 << 17)
 def is_irreducible(f: Poly) -> bool:
     """Ben-Or test: f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
@@ -364,20 +395,19 @@ def is_irreducible(f: Poly) -> bool:
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")
-    if not f.is_monic:
-        f = monicize(f)[1]
     if n == 1:
         return True
-    if _has_root(f):
+    if any(not _eval(f, a) for a in range(f.ring.order)):     # a root
         return False
     if n <= 3:
         return True
-    q = f.ring.order
-    xpoly = Poly.x(f.ring)
-    t = pow_mod(xpoly, q, f)                   # x^q mod f
+    ring, x = f.ring, [-1, 0]
+    red = _reducer(ring, _logs(f))
+    t = _pow_logs(ring, x, ring.order, red)    # x^q mod f
     for _ in range(2, n // 2 + 1):
-        t = pow_mod(t, q, f)                   # x^(q^i) mod f
-        if gcd(t - xpoly, f).degree:
+        t = _pow_logs(ring, t, ring.order, red)          # x^(q^i) mod f
+        t_minus_x = _add_logs(ring, list(t), x, ring.neg)
+        if len(_gcd_logs(ring, _logs(f), t_minus_x)) > 1:   # a common factor
             return False
     return True
 

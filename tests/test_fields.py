@@ -321,3 +321,40 @@ def test_frobenius_is_the_q_th_power(p, s):
     ext = make_ext(make_field(p, s))
     for z in ext.elements():
         assert frobenius_q(z) == z ** ext.base.order
+
+def _digit_walk(p, s, modulus, g):
+    # g^0, g^1, ..., g^(q-2) by multiplying digit lists, Horner on g's digits
+    # (the walk every extension field used before GF(2^s) got its bit walk)
+    high_first = _digits(g, p, s)[::-1]
+    while high_first and not high_first[0]:
+        high_first.pop(0)
+    tail = [(-m) % p for m in modulus[:s]]
+    cur, exp = _digits(1, p, s), []
+    for _ in range(p**s - 1):
+        exp.append(_encode(cur, p))
+        acc = [0] * s
+        for c in high_first:
+            top = acc[-1]
+            acc = [(a + top * m + c * t) % p
+                   for a, m, t in zip([0] + acc[:-1], tail, cur)]
+        cur = acc
+    return exp
+
+def _ref_order(spec, a):
+    k, x = 1, a
+    while x != 1:
+        k, x = k + 1, _ref_mul(spec, x, a)
+    return k
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_binary_tables_match_the_digit_walk(s):
+    spec = make_field(2, s)
+    q = spec.order
+    g = next(g for g in range(1, q) if _ref_order(spec, g) == q - 1)
+    exp = _digit_walk(2, s, spec.modulus, g)
+    log = [-1] * q
+    for i, n in enumerate(exp):
+        log[n] = i
+    assert spec.exp == exp + exp
+    assert spec.log == log
+    assert spec.zech == [log[n ^ 1] for n in exp]        # 1 + n flips bit 0

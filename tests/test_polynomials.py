@@ -6,6 +6,7 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, compose, derivative,
                       divrem, divides, enumerate_monic_irreducibles, gcd,
                       homogenize, is_irreducible, make_field, monic_polys,
                       monicize, pow_mod, reciprocal, to_text)
+from pgl2poly import polynomials
 
 
 def _mu(n):
@@ -282,6 +283,12 @@ def _ref_eval(f, x):
         acc = acc * x + c
     return acc
 
+def _ref_gcd(f, g):
+    while g:
+        f, g = g, _ref_divrem(f, g)[1]
+    inv = f.lc().inverse()
+    return _from_felts(f.ring, [c * inv for c in _felts(f)])
+
 def _ref_pow_mod(base, e, modulus):
     result = Poly.one(base.ring)
     base = _ref_divrem(base, modulus)[1]
@@ -325,14 +332,40 @@ def test_kernels_match_felt_reference(ring):
             assert f - g == _ref_add(f, g, -1)
             if g:
                 assert divrem(f, g) == _ref_divrem(f, g)
-    for _ in range(3):
+            if f or g:
+                assert gcd(f, g) == _ref_gcd(f, g)
+        h = rng.choice([h for h in polys if h])       # a common factor
+        g = rng.choice(polys)
+        if f or g:
+            assert gcd(f * h, g * h) == _ref_gcd(_ref_mul(f, h), _ref_mul(g, h))
+    # moduli of degree 1..40 and walks of up to 8*log2(q) squarings: a kernel
+    # that left its logs unreduced would index past the doubled exp table
+    q = ring.order
+    for top in (q ** 3, q ** 3, q ** 8):
         modulus = next(g for g in rng.sample(polys, len(polys)) if g.degree >= 1)
-        if modulus.degree > 12:
-            modulus = Poly(ring, modulus.coeffs[:13])
-            if modulus.degree < 1:
-                continue
-        base, e = rng.choice(polys), rng.randrange(ring.order ** 3)
+        if top == q ** 8:
+            modulus = Poly(ring, [rng.randrange(q) for _ in range(rng.randrange(13, 41))]
+                           + [rng.randrange(1, q)])
+        base, e = rng.choice(polys), rng.randrange(top)
         assert pow_mod(base, e, modulus) == _ref_pow_mod(base, e, modulus)
+
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
+def test_kernels_return_reduced_trimmed_logs(ring):
+    rng = random.Random(ring.order)
+    m = ring.order - 1
+    logs = [polynomials._logs(f) for f in _kernel_cases(ring, rng, 12)]
+
+    def reduced(out):
+        return all(-1 <= x < m for x in out) and (not out or out[-1] >= 0)
+    for a in logs:
+        for b in rng.sample(logs, 4):
+            assert reduced(polynomials._mul_logs(ring, a, b))
+            assert reduced(polynomials._add_logs(ring, list(a), b, rng.randrange(m + 1)))
+            if b:
+                r = list(a)
+                red = polynomials._reducer(ring, b)
+                assert reduced(polynomials._rem_logs(ring, r, red))
+                assert reduced(r[red[0]:])              # the quotient
 
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level
@@ -352,6 +385,31 @@ def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     act(A, f)
     divrem(dividend, f)
     assert calls[0] <= 4
+
+def test_act_and_pow_mod_build_at_most_three_polys(monkeypatch):
+    # homogenize and pow_mod run in the log domain and build their result
+    # once; a Poly per intermediate product made hundreds
+    F5 = make_field(5, 1)
+    rng = random.Random(12)
+    f = Poly(F5, [rng.randrange(5) for _ in range(12)] + [3])
+    x = Poly.x(F5)
+    A = Mat2.from_encodings(F5, (2, 3, 1, 1))
+    built = [0]
+    init, unchecked = Poly.__init__, polynomials._poly
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counted_poly(*args):
+        built[0] += 1
+        return unchecked(*args)
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(polynomials, "_poly", counted_poly)
+    for run in (lambda: act(A, f), lambda: pow_mod(x, 5**12, f)):
+        built[0] = 0
+        run()
+        assert built[0] <= 3
 
 
 # -- polynomials over different fields never mix ----------------------------
@@ -387,6 +445,11 @@ def test_field_value_arguments_reject_mixed_fields(small, big):
         f(b.one)
     with pytest.raises(ValueError, match="mixed field specs"):
         Poly.monomial(a, b.one, 2)
+
+def test_monomial_rejects_a_negative_exponent(F3):
+    assert Poly.monomial(F3, F3.one, 0) == Poly.one(F3)
+    with pytest.raises(ValueError, match="exponent"):
+        Poly.monomial(F3, F3.one, -1)
 
 @pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (2, 1), (2, 2)])
 def test_constructor_rejects_non_encodings(p, s):
