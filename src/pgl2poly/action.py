@@ -74,7 +74,7 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     l in [1, D-1] prime to D; degree-2 inputs fall back to the direct test.
 
     F is never built: f divides F iff it divides F with x^(q^r) replaced by
-    its residue mod f, which steps through r = 1, 2, ... by y <- y^q mod f."""
+    its residue mod f, which steps through r = m, 2m, ... by y <- y^(q^m) mod f."""
     _check_actable(f)
     n = f.degree
     cls = ProjMat(m)
@@ -86,11 +86,10 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     if n % D:
         return False
     mm = n // D
-    y = Poly.x(m.spec)
-    for r in range(1, (D - 1) * mm + 1):
-        y = pow_mod(y, m.spec.order, f)                  # x^(q^r) mod f
-        if (r % mm == 0 and int_gcd(r // mm, D) == 1
-                and not divrem(_criterion_at(m, y), f)[1]):
+    y, step = Poly.x(m.spec), m.spec.order**mm
+    for ell in range(1, D):
+        y = pow_mod(y, step, f)                          # x^(q^(ell*m)) mod f
+        if int_gcd(ell, D) == 1 and not divrem(_criterion_at(m, y), f)[1]:
             return True
     return False
 

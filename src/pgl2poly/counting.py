@@ -113,12 +113,11 @@ def count_factors_of_degree(F: Poly, k: int) -> int:
     q = F.ring.order
     xpoly = Poly.x(F.ring)
     counts = {}                                # d -> c_d, for d | k
-    t = xpoly
-    for j in range(1, k + 1):
-        t = pow_mod(t, q, F)                   # x^(q^j) mod F
-        if k % j == 0:
-            below = sum(d * c for d, c in counts.items() if j % d == 0)
-            counts[j] = (gcd(t - xpoly, F).degree - below) // j
+    t, i = xpoly, 0                            # t = x^(q^i) mod F
+    for j in divisors(k):
+        t, i = pow_mod(t, q**(j - i), F), j
+        below = sum(d * c for d, c in counts.items() if j % d == 0)
+        counts[j] = (gcd(t - xpoly, F).degree - below) // j
     return counts[k]
 
 

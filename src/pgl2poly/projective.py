@@ -207,50 +207,67 @@ TypeInfo = namedtuple("TypeInfo", "kind param", defaults=(None,))
 ReducedForm = namedtuple("ReducedForm", "info reduced conjugator eigenvalue")
 
 
-def _roots_in_field(f: Poly) -> list[Felt]:
-    """Roots in GF(q) of the monic quadratic f, in encoding order (type 1
-    with ratio -1 takes the first as its eigenvalue)."""
-    spec = f.ring
-    c0, c1 = f.coeff(0), f.coeff(1)
+def _quadratic_roots(c0: Felt, c1: Felt) -> list[ExtElt]:
+    """Every root of x^2 + c1*x + c0 in GF(q^2), a double root once, in
+    ascending encoding u + q*v: roots in GF(q) have v = 0, and an irreducible
+    quadratic gives its conjugate pair (type 1 with ratio -1 takes the first
+    root as its eigenvalue)."""
+    spec = c0.spec
+    ext = make_ext(spec)
     if spec.p == 2:
         if not c1:
-            roots = [sqrt(c0)]                          # x^2 = c0: double root
+            roots = [embed(sqrt(c0))]                   # x^2 = c0: double root
         else:
-            y = artin_schreier_root(c0 / (c1 * c1))    # x = c1*y
-            roots = [] if y is None else [c1 * y, c1 * y + c1]
+            # x = c1*y with y^2 + y = c0/c1^2, else x = c1*(y + w) with
+            # w^2 + w = beta and y^2 + y = c0/c1^2 + beta; the other root
+            # adds c1 to u
+            t = c0 / (c1 * c1)
+            y, v = artin_schreier_root(t), spec.zero
+            if y is None:
+                y, v = artin_schreier_root(t + ext.m0), c1
+            if y is None:
+                raise ContractError("quadratic has no root in GF(q^2)")
+            roots = [ExtElt(ext, c1 * y, v), ExtElt(ext, c1 * y + c1, v)]
     else:
+        # x = (-c1 +- r)/2 with r^2 = disc, else x = (-c1 +- r*w)/2 with
+        # w^2 = beta and r^2 = disc/beta
         half = spec.from_encoding((spec.p + 1) // 2)   # 1/2 lies in GF(p)
-        r = sqrt(c1 * c1 - (c0 + c0 + c0 + c0))
-        if r is None:
-            roots = []
-        elif not r:
-            roots = [-c1 * half]
+        disc = c1 * c1 - (c0 + c0 + c0 + c0)
+        r = sqrt(disc)
+        if r is not None:
+            roots = [embed((r - c1) * half), embed(-(r + c1) * half)]
         else:
-            roots = [(r - c1) * half, -(r + c1) * half]
-    roots.sort(key=Felt.encode)
-    for x in roots:
-        if f(x):
-            raise ContractError(f"{x!r} is not a root of {f!r}")
+            r = sqrt(disc / -ext.m0)
+            if r is None:
+                raise ContractError("quadratic has no root in GF(q^2)")
+            u = -c1 * half
+            roots = [ExtElt(ext, u, r * half), ExtElt(ext, u, -r * half)]
+    roots = sorted(set(roots), key=ExtElt.encode)
+    r1, r2 = roots[0], roots[-1]
+    if r1 + r2 != embed(-c1) or r1 * r2 != embed(c0):
+        raise ContractError(f"{roots!r} are not the roots of x^2 + c1*x + c0")
     return roots
+
+
+def _classify(m: Mat2) -> tuple[TypeInfo, list[ExtElt]]:
+    # the type of [m] and the roots of its characteristic polynomial
+    if m.is_scalar():
+        return TypeInfo(IDENTITY), []
+    tr = m.trace
+    roots = _quadratic_roots(m.det, -tr)
+    if roots[0].v:
+        info = TypeInfo(TYPE4, -m.det / (tr * tr)) if tr else TypeInfo(TYPE3, -m.det)
+    elif len(roots) == 1:
+        info = TypeInfo(TYPE2)
+    else:
+        r1, r2 = roots[0].u, roots[1].u
+        info = TypeInfo(TYPE1, min(r1 / r2, r2 / r1, key=Felt.encode))
+    return info, roots
 
 
 def classify(m: Mat2) -> TypeInfo:
     """Type of [m] from the eigenvalue layout of its characteristic polynomial."""
-    if m.is_scalar():
-        return TypeInfo(IDENTITY)
-    spec = m.spec
-    roots = _roots_in_field(m.char_poly())
-    if len(roots) == 2:
-        r1, r2 = roots
-        ratio1, ratio2 = r1 / r2, r2 / r1
-        a = ratio1 if ratio1.encode() <= ratio2.encode() else ratio2
-        return TypeInfo(TYPE1, a)
-    if len(roots) == 1:
-        return TypeInfo(TYPE2)
-    if not m.trace:
-        return TypeInfo(TYPE3, -m.det)
-    tr = m.trace
-    return TypeInfo(TYPE4, -m.det / (tr * tr))
+    return _classify(m)[0]
 
 
 def _eigenvector(m: Mat2, lam: Felt) -> tuple[Felt, Felt]:
@@ -288,53 +305,24 @@ def _min_encoding_conjugator(scaled: Mat2, target: Mat2) -> Mat2:
                        scaled.spec.one, scaled.spec.zero)
 
 
-def _ext_quadratic_root(spec: FieldSpec, c0: Felt, c1: Felt) -> ExtElt:
-    """The root of the irreducible x^2 + c1*x + c0 in GF(q^2) with the
-    smaller encoding u + q*v; the two roots are conjugate."""
-    ext = make_ext(spec)
-    if spec.p == 2:
-        # x = c1*(w + y) where w^2 + w = beta and y^2 + y = c0/c1^2 + beta;
-        # the conjugate root is (u + c1) + c1*w
-        y = artin_schreier_root(c0 / (c1 * c1) + ext.m0)
-        if y is None:
-            raise ContractError("quadratic has no root in GF(q^2)")
-        u, v = c1 * y, c1
-        u = min(u, u + c1, key=Felt.encode)
-    else:
-        # x = -c1/2 + v*w where w^2 = beta, so (2v)^2 = disc/beta
-        half = spec.from_encoding((spec.p + 1) // 2)
-        r = sqrt((c1 * c1 - (c0 + c0 + c0 + c0)) / -ext.m0)
-        if r is None:
-            raise ContractError("quadratic has no root in GF(q^2)")
-        u, v = -c1 * half, r * half
-        v = min(v, -v, key=Felt.encode)
-    z = ExtElt(ext, u, v)
-    if z * z + embed(c1) * z + embed(c0):
-        raise ContractError(f"{z!r} is not a root of x^2 + c1*x + c0")
-    return z
-
-
 def reduce(m: Mat2) -> ReducedForm:
     """Type info, reduced matrix R, conjugator P with [m] = [P][R][P]^-1,
     and the distinguished eigenvalue in GF(q^2).  Internal checks raise
     ContractError."""
-    info = classify(m)
+    info, roots = _classify(m)
     if info.kind == IDENTITY:
         raise ValueError("the identity class has no reduced form")
     spec = m.spec
 
     if info.kind == TYPE1:
-        roots = _roots_in_field(m.char_poly())
-        alpha, beta = roots
-        if alpha / beta != info.param:
-            alpha, beta = beta, alpha
+        alpha, beta = roots if roots[0].u / roots[1].u == info.param else roots[::-1]
         red = reduced_type1(spec, info.param)
-        va = _eigenvector(m, alpha)
-        vb = _eigenvector(m, beta)
+        va = _eigenvector(m, alpha.u)
+        vb = _eigenvector(m, beta.u)
         conj = _invertible(va[0], vb[0], va[1], vb[1])
-        eig = embed(alpha)
+        eig = alpha
     elif info.kind == TYPE2:
-        lam = _roots_in_field(m.char_poly())[0]
+        lam = roots[0].u
         red = reduced_type2(spec)
         if proj_eq(m, red):
             conj = Mat2.identity(spec)
@@ -345,21 +333,21 @@ def reduce(m: Mat2) -> ReducedForm:
             u = (spec.one, spec.zero) if (n_a or n_c) else (spec.zero, spec.one)
             nu = (n_a * u[0] + n_b * u[1], n_c * u[0] + n_d * u[1])
             conj = _invertible(u[0], nu[0], u[1], nu[1])
-        eig = embed(lam)
+        eig = roots[0]
     elif info.kind == TYPE3:
         red = reduced_type3(spec, info.param)
         if proj_eq(m, red):
             conj = Mat2.identity(spec)
         else:
             conj = _min_encoding_conjugator(m, red)
-        eig = _ext_quadratic_root(spec, -info.param, spec.zero)
+        eig = roots[0]                  # m's x^2 + det is the reduced x^2 - b
     else:
         red = reduced_type4(spec, info.param)
         if proj_eq(m, red):
             conj = Mat2.identity(spec)
         else:
             conj = _min_encoding_conjugator(m.scale(m.trace.inverse()), red)
-        eig = _ext_quadratic_root(spec, -info.param, -spec.one)
+        eig = _quadratic_roots(-info.param, -spec.one)[0]
 
     if ProjMat(conj * red * conj.inverse()) != ProjMat(m):
         raise ContractError("conjugation identity failed")
@@ -388,10 +376,10 @@ def power_closed_form(c: Felt, j: int) -> Mat2:
         raise ValueError("j must be >= 0")
     spec = c.spec
     base = reduced_type4(spec, c)       # validates invertibility (c != 0)
-    if _roots_in_field(base.char_poly()):
+    roots = _quadratic_roots(-c, -spec.one)
+    if not roots[0].v:
         raise ValueError("x^2 - x - c must be irreducible")
-    alpha = _ext_quadratic_root(spec, -c, -spec.one)
-    aq = frobenius_q(alpha)
+    alpha, aq = roots                   # the conjugate root is alpha^q
     delta = (aq - alpha).inverse()
     powers = {e: alpha**e for e in {j, j + 1}}
     qpowers = {e: aq**e for e in {j, j + 1}}

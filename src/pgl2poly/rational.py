@@ -5,7 +5,8 @@ Q = num/den of degree D, fixed by the Moebius substitution of the class,
 such that the invariants of degree D*m are exactly the monic rescalings of
 den^m * F(num/den) with F of degree m.  The map is assembled per type from
 the two linear forms of the conjugator; type 4 additionally builds a pair
-of polynomials from the powers of the eigenvalue in GF(q^2).
+of polynomials whose coefficients run through a two-term recurrence in
+GF(q), the Cayley-Hamilton sequence of the reduced matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from collections import namedtuple
 from math import comb
 
 from . import linalg
-from .fields import frobenius_q, try_descend
 from .polynomials import (Poly, divrem, enumerate_monic_irreducibles, gcd,
                           homogenize, is_irreducible, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
@@ -48,20 +48,20 @@ def _linear_forms(p: Mat2) -> tuple[Poly, Poly]:
 
 def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
     """g = (T(x+T)^D - t(x+t)^D)/(T-t) and h = ((x+T)^D - (x+t)^D)/(T-t)
-    for t the eigenvalue and T its conjugate; both descend to GF(q).
+    for t and T the roots of x^2 - x - c in GF(q^2); both lie over GF(q).
 
     By the binomial theorem g_k = C(D,k) s(D-k+1) and h_k = C(D,k) s(D-k)
-    with s(j) = (T^j - t^j)/(T-t), which conjugation fixes.  C(D,k) is read
-    mod p, an element of the prime field whose encoding is itself."""
+    with s(j) = (T^j - t^j)/(T-t).  As t + T = 1 and t*T = -c, s runs in GF(q)
+    by s(0) = 0, s(1) = 1, s(j+1) = s(j) + c*s(j-1), and s(D) = 0 since t^D
+    = T^D.  C(D,k) is read mod p, an element of the prime field whose
+    encoding is itself."""
     spec = rf.reduced.spec
-    theta = rf.eigenvalue
-    powers = [theta**j for j in range(D + 2)]
-    if try_descend(powers[D]) is None:
-        raise ContractError("theta^D must lie in GF(q)")
-    dinv = (frobenius_q(theta) - theta).inverse()
-    s = [try_descend((frobenius_q(z) - z) * dinv) for z in powers]
-    if any(x is None for x in s):
-        raise ContractError("coefficients must descend to GF(q)")
+    c = rf.info.param
+    s = [spec.zero, spec.one]
+    while len(s) < D + 2:
+        s.append(s[-1] + c * s[-2])
+    if s[D]:
+        raise ContractError("s(D) must vanish: t^D = T^D in GF(q)")
     binom = [spec.from_encoding(comb(D, k) % spec.p) for k in range(D + 1)]
     g = Poly(spec, [(b * s[D - k + 1]).n for k, b in enumerate(binom)])
     h = Poly(spec, [(b * s[D - k]).n for k, b in enumerate(binom)])

@@ -9,6 +9,8 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, criterion_invariant,
                       quadratic_invariants, reciprocal, reduced_type2,
                       reduced_type3, reduced_type4, star_act,
                       subgroup_closure)
+from pgl2poly import action
+from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import type_representatives
 
 
@@ -134,6 +136,22 @@ def test_criterion_matches_division_into_F(p, s):
         for n in range(2, 7):
             for f in enumerate_monic_irreducibles(spec, n):
                 assert criterion_invariant(rep, f) == _criterion_by_division(rep, f)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1)])
+def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
+    # y steps from x^(q^((l-1)m)) to x^(q^(lm)) mod f in one power, so a
+    # class of order D makes at most D - 1 of them
+    spec = make_field(p, s)
+    calls = []
+    monkeypatch.setattr(action, "pow_mod",
+                        lambda *args: calls.append(args) or pow_mod(*args))
+    for _, rep in type_representatives(spec):
+        D = ProjMat(rep).order()
+        for f in enumerate_monic_irreducibles(spec, 2 * D)[:60]:
+            calls.clear()
+            assert criterion_invariant(rep, f) == is_invariant(ProjMat(rep), f)
+            assert len(calls) <= D - 1
 
 
 def test_closure_of_swap(F3):

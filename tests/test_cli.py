@@ -51,6 +51,15 @@ def test_failed_internal_check_exits_one_under_optimize():
         "projective.sqrt = lambda x: x",
         ["classify", "--p", "7", "--matrix", "0,1,6,1"])
 
+def test_wrong_square_root_fails_the_root_check_under_optimize():
+    # a square root off by one gives the type-3 class [[0,1],[3,0]] over GF(7)
+    # a wrong eigenvalue in GF(49); no later check reads the eigenvalue, so
+    # only the solver's own check keeps it from being printed
+    _assert_internal_failure_under_optimize(
+        "projective.sqrt = lambda x, root=projective.sqrt: "
+        "root(x) and root(x) + x.spec.one",
+        ["classify", "--p", "7", "--matrix", "0,1,3,0"])
+
 def test_failed_map_check_exits_one_under_optimize():
     # a Moebius substitution that swaps num and den breaks the fixed-point
     # check inside q_map
@@ -67,11 +76,12 @@ def test_failed_order_check_exits_one_under_optimize():
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
 def test_failed_conjugator_check_exits_one_under_optimize():
-    # with no roots in GF(5), diag(2, 1) is taken for type 4; its scaled
+    # with a root outside GF(5), diag(2, 1) is taken for type 4; its scaled
     # form has a zero lower-left entry, so no conjugator of the closed form
     # exists and the helper must refuse rather than divide by zero
     _assert_internal_failure_under_optimize(
-        "projective._roots_in_field = lambda f: []",
+        "projective._quadratic_roots = "
+        "lambda c0, c1: [projective.make_ext(c0.spec).omega]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
 def test_cli_import_skips_typing_dataclasses_and_inspect():

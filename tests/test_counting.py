@@ -12,7 +12,9 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
                       make_field, mobius_inversion, moebius_mu,
                       principal_character, quadratic_factor_of_F,
                       reduced_type2, reduced_type3, reduced_type4)
+from pgl2poly import counting
 from pgl2poly.numutil import divisors
+from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import inversion_consistency, type_representatives
 
 
@@ -147,6 +149,17 @@ def test_count_factors_matches_trial_division(q):
     for F in cases:
         for k in range(1, top + 1):
             assert count_factors_of_degree(F, k) == count_factors_by_trial_division(F, k)
+
+
+@pytest.mark.parametrize("k", [1, 4, 5, 6])
+def test_count_factors_takes_one_power_per_divisor(monkeypatch, F3, k):
+    # x^(q^j) mod F is needed only at the divisors j of k
+    calls = []
+    monkeypatch.setattr(counting, "pow_mod",
+                        lambda *args: calls.append(args) or pow_mod(*args))
+    F = F_poly(reduced_type4(F3, F3.from_encoding(2)), 2)          # degree 10
+    assert count_factors_of_degree(F, k) == count_factors_by_trial_division(F, k)
+    assert len(calls) == len(divisors(k))
 
 
 def test_count_via_criterion_examples(F2, F3, F5):

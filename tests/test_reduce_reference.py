@@ -6,6 +6,7 @@ the q^2 points of the conjugator kernel, so it is correct by inspection.
 Patching them into projective and rerunning must reproduce every output.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -14,18 +15,21 @@ from pgl2poly import (IDENTITY, Mat2, classify, embed, linalg, make_ext,
                       make_field, power_closed_form, projective, reduce)
 
 
-def scan_roots_in_field(f):
-    zero = f.ring.zero
-    return [x for x in f.ring.elements() if f(x) == zero]
-
-
-def scan_ext_quadratic_root(spec, c0, c1):
-    ext = make_ext(spec)
+@functools.lru_cache(maxsize=None)
+def scan_quadratic_roots(c0, c1):
+    # GF(q) first, and GF(q^2) \ GF(q) only when GF(q) holds no root; GF(q)
+    # is the first q encodings of GF(q^2), so the roots come out ascending.
+    # Cached: a field has only q^2 quadratics, met by thousands of matrices
+    spec = c0.spec
+    roots = [embed(x) for x in spec.elements() if x * x + c1 * x + c0 == spec.zero]
+    if roots:
+        return roots
     e0, e1 = embed(c0), embed(c1)
-    for z in ext.elements():
-        if z * z + e1 * z + e0 == ext.zero:
-            return z
-    raise AssertionError("quadratic has no root in GF(q^2)")
+    outside = (z for z in make_ext(spec).elements()
+               if z.v and z * z + e1 * z + e0 == z.ext.zero)
+    roots = list(itertools.islice(outside, 2))
+    assert roots, "quadratic has no root in GF(q^2)"
+    return roots
 
 
 def scan_min_encoding_conjugator(scaled, target):
@@ -57,8 +61,7 @@ def scan_min_encoding_conjugator(scaled, target):
     return Mat2(*best)
 
 
-SCANS = {"_roots_in_field": scan_roots_in_field,
-         "_ext_quadratic_root": scan_ext_quadratic_root,
+SCANS = {"_quadratic_roots": scan_quadratic_roots,
          "_min_encoding_conjugator": scan_min_encoding_conjugator}
 
 
@@ -111,3 +114,12 @@ def test_reduce_matches_scans(p, s, monkeypatch):
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 2)])
 def test_reduce_matches_scans_slow(p, s, monkeypatch):
     _check_against_scans(p, s, monkeypatch)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_quadratic_roots_match_scan(p, s):
+    # every monic quadratic over GF(q), c0 = 0 included (no class has it)
+    spec = make_field(p, s)
+    for c0, c1 in itertools.product(spec.elements(), repeat=2):
+        assert projective._quadratic_roots(c0, c1) == scan_quadratic_roots(c0, c1)
