@@ -4,6 +4,12 @@ For A = [[a, b], [c, d]] and f of degree k the raw action is
 (bx+d)^k f((ax+c)/(bx+d)); the class action rescales the result monic.
 Fixed points of the class action are characterized by divisibility into
 the criterion polynomials b*x^(q^r + 1) - a*x^(q^r) + d*x - c.
+
+The raw action on forms of degree n is linear in the coefficients, so the
+brute-force scan (invariant_set) builds its (n+1) x (n+1) matrix once, from
+the images of 1, x, ..., x^n, and tests each candidate on its rows, top row
+first, stopping at the first mismatch.  is_invariant, proj_act and act are
+the direct definition; the tests check the scan against them.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ import functools
 from math import gcd as int_gcd
 
 from .fields import FieldSpec
-from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
-                          homogenize, is_irreducible, monicize, pow_mod)
+from .polynomials import (Poly, _dot_logs, divrem,
+                          enumerate_monic_irreducibles, homogenize,
+                          is_irreducible, monicize, pow_mod)
 from .projective import ContractError, Mat2, ProjMat
 
 
@@ -143,8 +150,35 @@ def quadratic_invariants(spec: FieldSpec, generators) -> list[Poly]:
 
 @functools.lru_cache(maxsize=4096)
 def invariant_set(cls: ProjMat, n: int) -> tuple[Poly, ...]:
-    """Brute-force oracle: every monic irreducible of degree n fixed by cls."""
+    """Brute-force oracle: every monic irreducible of degree n fixed by cls,
+    in enumeration order.
+
+    Column i of the action matrix is act(rep, x^i) as a form of degree n, so
+    row j dotted with f is the x^j coefficient of act(f).  Row n gives
+    lam = lc(act f) = b^n f(a/b) (a^n when b = 0), nonzero for an
+    irreducible f of degree >= 2.  So monic(act f) = f exactly when
+    act f = lam * f, that is when row j . f = lam * f_j for every j < n.
+    The rows are compared from j = n - 1 down, and the first mismatch
+    rejects f, usually within a row or two: O(n) work per candidate in
+    place of an O(n^2) action."""
     if n < 2:
         raise ValueError("invariants are defined for degree >= 2")
-    return tuple(f for f in enumerate_monic_irreducibles(cls.spec, n)
-                 if is_invariant(cls, f))
+    spec, a = cls.spec, cls.rep
+    log, m = spec.log, spec.order - 1
+    u, v = Poly(spec, (a.c.n, a.a.n)), Poly(spec, (a.d.n, a.b.n))
+    cols = [homogenize((0,) * i + (1,), u, v, n).coeffs for i in range(n + 1)]
+    rows = [[(i, log[col[j]]) for i, col in enumerate(cols)
+             if j < len(col) and col[j]] for j in range(n + 1)]
+
+    def fixed(f: Poly) -> bool:
+        b = [log[c] for c in f.coeffs]
+        lam = _dot_logs(spec, rows[n], b)
+        if lam < 0:
+            raise ContractError("degree drop on an irreducible input")
+        for j in range(n - 1, -1, -1):
+            t = b[j]
+            if _dot_logs(spec, rows[j], b) != ((lam + t) % m if t >= 0 else -1):
+                return False
+        return True
+
+    return tuple(f for f in enumerate_monic_irreducibles(spec, n) if fixed(f))

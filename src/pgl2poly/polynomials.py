@@ -7,10 +7,11 @@ and degree -1.  Coefficient sequences are encodings (the constructor,
 scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
 -1 for zero) in three kernels: _mul_logs (a term is log a + log b), _add_logs
 (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
--g/lc, taken once per divisor by _reducer).  Partial sums may pass q - 1
-inside a kernel; every log it returns is reduced mod q - 1 and the list
-trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain kernels and
-convert from and to encodings once per call.
+-g/lc, taken once per divisor by _reducer); _dot_logs sums the products of
+a sparse row with a log list, for the invariance scan.  Partial sums may
+pass q - 1 inside a kernel; every log it returns is reduced mod q - 1 and
+the list trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain
+kernels and convert from and to encodings once per call.
 """
 
 from __future__ import annotations
@@ -198,6 +199,22 @@ def _add_logs(ring, acc: list, b: list, shift: int) -> list:
     while acc and acc[-1] < 0:
         acc.pop()
     return acc
+
+
+def _dot_logs(ring, row: list, b: list) -> int:
+    # the log of the sum of g^(t + b[i]) over the (i, t) of row, -1 for zero
+    zech, m = ring.zech, ring.order - 1
+    acc = -1
+    for i, t in row:
+        s = b[i]
+        if s >= 0:
+            t += s
+            if acc < 0:
+                acc = t
+            else:
+                z = zech[(t - acc) % m]
+                acc = acc + z if z >= 0 else -1
+    return acc % m if acc > 0 else acc
 
 
 def _reducer(ring, g: list) -> tuple:

@@ -3,9 +3,11 @@ from math import gcd
 
 import pytest
 
-from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, criterion_invariant,
-                      divides, enumerate_monic_irreducibles, group_invariant,
-                      is_cyclic, is_invariant, make_field, proj_act,
+from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
+                      criterion_invariant, divides,
+                      enumerate_monic_irreducibles, group_invariant,
+                      invariant_set, is_cyclic, is_invariant, make_field,
+                      proj_act,
                       quadratic_invariants, reciprocal, reduced_type2,
                       reduced_type3, reduced_type4, star_act,
                       subgroup_closure)
@@ -152,6 +154,36 @@ def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
             calls.clear()
             assert criterion_invariant(rep, f) == is_invariant(ProjMat(rep), f)
             assert len(calls) <= D - 1
+
+
+@pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),
+                                        (5, 1, 4), (7, 1, 3)])
+def test_invariant_set_matches_direct_definition(p, s, top):
+    # the row scan against the direct definition, for every class (the
+    # identity included) and degree: 1,338 (class, degree) pairs in all
+    spec = make_field(p, s)
+    for cls in all_classes(spec):
+        for n in range(2, top + 1):
+            want = tuple(f for f in enumerate_monic_irreducibles(spec, n)
+                         if is_invariant(cls, f))
+            assert invariant_set(cls, n) == want, (cls.rep, n)
+
+
+def test_invariant_set_builds_the_action_once_per_scan(monkeypatch, F3):
+    # one scan builds the n + 1 columns of the action matrix and never acts
+    # on a candidate; acting on each of the 116 sextics made 116+ calls
+    n = 6
+    assert len(enumerate_monic_irreducibles(F3, n)) == 116
+    calls = []
+    for name in ("homogenize", "act", "is_invariant"):
+        monkeypatch.setattr(action, name, lambda *args, _name=name,
+                            _f=getattr(action, name): calls.append(_name) or _f(*args))
+    for _, rep in [("identity", Mat2.identity(F3))] + type_representatives(F3):
+        action.invariant_set.cache_clear()
+        calls.clear()
+        action.invariant_set(ProjMat(rep), n)
+        assert calls.count("homogenize") <= n + 1
+        assert "act" not in calls and "is_invariant" not in calls
 
 
 def test_closure_of_swap(F3):

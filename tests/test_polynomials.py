@@ -367,6 +367,22 @@ def test_kernels_return_reduced_trimmed_logs(ring):
                 assert reduced(polynomials._rem_logs(ring, r, red))
                 assert reduced(r[red[0]:])              # the quotient
 
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
+def test_dot_logs_matches_felt_reference(ring):
+    # the log of sum a_i * b_i for a sparse row of (i, log a_i): reduced, and
+    # -1 when the terms cancel (frequent in the small fields)
+    rng = random.Random(ring.order * 7 + 1)
+    q, log = ring.order, ring.log
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        a = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        b = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        want = ring.zero
+        for x, y in zip(a, b):
+            want += ring.from_encoding(x) * ring.from_encoding(y)
+        row = [(i, log[x]) for i, x in enumerate(a) if x]
+        assert polynomials._dot_logs(ring, row, [log[y] for y in b]) == log[want.n]
+
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level
     # schoolbook loops made 16,222 Felt products and sums on this case
