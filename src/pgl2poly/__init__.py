@@ -6,18 +6,17 @@ from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, artin_schreier_root,
                      element_of_mult_order, embed, frobenius_q, is_square,
                      make_ext, make_field, smallest_nonsquare, sqrt,
                      try_descend)
-from .polynomials import (Poly, compose, derivative, divides, divrem,
-                          enumerate_monic_irreducibles, gcd, homogenize,
-                          is_irreducible, monic_polys, monicize, pow_mod,
-                          reciprocal, to_text)
+from .polynomials import (Poly, divides, divrem, enumerate_monic_irreducibles,
+                          gcd, homogenize, is_irreducible, monic_polys,
+                          monicize, pow_mod, reciprocal, to_text)
 from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
                          Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
                          classify, element_of_order, power_closed_form,
                          proj_eq, reduce, reduced_type1, reduced_type2,
                          reduced_type3, reduced_type4, sigma_product)
-from .action import (F_poly, act, criterion_invariant, group_invariant,
-                     invariant_set, is_cyclic, is_invariant, proj_act,
-                     quadratic_invariants, star_act, subgroup_closure)
+from .action import (F_poly, act, common_invariants, criterion_invariant,
+                     group_invariant, invariant_set, is_cyclic, is_invariant,
+                     proj_act, star_act, subgroup_closure)
 from .rational import (QConstruction, RationalMap, decompose,
                        generate_invariants, q_map, substitute_mobius,
                        transform)

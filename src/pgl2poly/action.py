@@ -5,32 +5,40 @@ For A = [[a, b], [c, d]] and f of degree k the raw action is
 Fixed points of the class action are characterized by divisibility into
 the criterion polynomials b*x^(q^r + 1) - a*x^(q^r) + d*x - c.
 
-The raw action on forms of degree n is linear in the coefficients, so the
-brute-force scan (invariant_set) builds its (n+1) x (n+1) matrix once, from
-the images of 1, x, ..., x^n, and tests each candidate on its rows, top row
-first, stopping at the first mismatch.  is_invariant, proj_act and act are
-the direct definition; the tests check the scan against them.
+The raw action on forms of degree n is linear in the coefficients: an
+(n+1) x (n+1) matrix M, built from the images of 1, x, ..., x^n.  A monic
+irreducible f of degree n is fixed by the class exactly when M f = lam * f
+for some nonzero lam, so common_invariants finds the invariants of a list of
+classes in their joint eigenspaces, with no scan over the irreducibles.
+is_invariant, proj_act and act are the direct definition; the tests check
+the eigenspace search against them.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import product
 from math import gcd as int_gcd
 
+from . import linalg
 from .fields import FieldSpec
-from .polynomials import (Poly, _dot_logs, divrem,
-                          enumerate_monic_irreducibles, homogenize,
-                          is_irreducible, monicize, pow_mod)
+from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
+                          form_matrix, homogenize, is_irreducible, monicize,
+                          pow_mod)
 from .projective import ContractError, Mat2, ProjMat
+
+
+def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
+    # the two columns of m, read as a*x + c and b*x + d
+    spec = m.spec
+    return Poly(spec, (m.c.n, m.a.n)), Poly(spec, (m.d.n, m.b.n))
 
 
 def act(m: Mat2, f: Poly) -> Poly:
     """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f."""
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
-    spec = m.spec
-    return homogenize(f.coeffs, Poly(spec, (m.c.n, m.a.n)),
-                      Poly(spec, (m.d.n, m.b.n)), f.degree)
+    return homogenize(f.coeffs, *_linear_forms(m), f.degree)
 
 
 def star_act(m: Mat2, f: Poly) -> Poly:
@@ -137,48 +145,63 @@ def group_invariant(generators, f: Poly) -> bool:
     return all(is_invariant(g, f) for g in generators)
 
 
-def quadratic_invariants(spec: FieldSpec, generators) -> list[Poly]:
-    """All monic irreducible quadratics fixed by every generator, found by
-    scanning the q^2 monic quadratics."""
-    gens = list(generators)
-    out = []
-    for f in enumerate_monic_irreducibles(spec, 2):
-        if all(is_invariant(g, f) for g in gens):
-            out.append(f)
-    return out
+def _kernel(spec: FieldSpec, rows) -> list:
+    # linalg.nullspace, with each basis vector checked against every row
+    basis = linalg.nullspace(spec, rows)
+    for vec in basis:
+        if any(sum((a * x for a, x in zip(row, vec)), spec.zero) for row in rows):
+            raise ContractError("nullspace vector outside the kernel")
+    return basis
+
+
+def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
+    """Every monic irreducible of degree n fixed by each class in classes,
+    in encoding order; all of them when no class moves anything.
+
+    Column i of a class's action matrix M is act(rep, x^i) as a form of
+    degree n, so M f holds the coefficients of act f.  An irreducible f of
+    degree n >= 2 keeps its degree, so monic(act f) = f exactly when
+    M f = lam * f with lam = lc(act f) nonzero: the invariants are the monic
+    irreducible vectors of the joint eigenspaces, one kernel of the stacked
+    rows M_k - lam_k * I per tuple of eigenvalues.  For a class of order D,
+    A^D = mu * I gives M^D = mu^n * I, so lam_k runs over the roots of
+    lam^D = mu^n in GF(q)*.  Elimination leaves the free columns ascending
+    and the basis vector of free column j zero above j, so a monic vector
+    exists only when column n is free: that basis vector plus any
+    combination of the others."""
+    if n < 2:
+        raise ValueError("invariants are defined for degree >= 2")
+    eigen = []                           # per class: [(M - lam * I) rows]
+    for cls in classes:
+        if cls.is_identity():
+            continue
+        a, D = cls.rep, cls.order()
+        M = form_matrix(*_linear_forms(a), n, n + 1)
+        target = (a**D).a ** n
+        eigen.append([[[x - lam if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(M)]
+                      for lam in spec.elements() if lam and lam**D == target])
+    if not eigen:
+        return enumerate_monic_irreducibles(spec, n)
+    found = []
+    for blocks in product(*eigen):
+        basis = _kernel(spec, [row for block in blocks for row in block])
+        if not basis or not basis[-1][n]:
+            continue
+        top, rest = basis[-1], basis[:-1]
+        for cs in product(list(spec.elements()), repeat=len(rest)):
+            vec = list(top)
+            for c, b in zip(cs, rest):
+                if c:
+                    vec = [x + c * y for x, y in zip(vec, b)]
+            f = Poly(spec, [x.n for x in vec])
+            if is_irreducible(f):
+                found.append(f)
+    return tuple(sorted(found, key=Poly.encode))
 
 
 @functools.lru_cache(maxsize=4096)
 def invariant_set(cls: ProjMat, n: int) -> tuple[Poly, ...]:
-    """Brute-force oracle: every monic irreducible of degree n fixed by cls,
-    in enumeration order.
-
-    Column i of the action matrix is act(rep, x^i) as a form of degree n, so
-    row j dotted with f is the x^j coefficient of act(f).  Row n gives
-    lam = lc(act f) = b^n f(a/b) (a^n when b = 0), nonzero for an
-    irreducible f of degree >= 2.  So monic(act f) = f exactly when
-    act f = lam * f, that is when row j . f = lam * f_j for every j < n.
-    The rows are compared from j = n - 1 down, and the first mismatch
-    rejects f, usually within a row or two: O(n) work per candidate in
-    place of an O(n^2) action."""
-    if n < 2:
-        raise ValueError("invariants are defined for degree >= 2")
-    spec, a = cls.spec, cls.rep
-    log, m = spec.log, spec.order - 1
-    u, v = Poly(spec, (a.c.n, a.a.n)), Poly(spec, (a.d.n, a.b.n))
-    cols = [homogenize((0,) * i + (1,), u, v, n).coeffs for i in range(n + 1)]
-    rows = [[(i, log[col[j]]) for i, col in enumerate(cols)
-             if j < len(col) and col[j]] for j in range(n + 1)]
-
-    def fixed(f: Poly) -> bool:
-        b = [log[c] for c in f.coeffs]
-        lam = _dot_logs(spec, rows[n], b)
-        if lam < 0:
-            raise ContractError("degree drop on an irreducible input")
-        for j in range(n - 1, -1, -1):
-            t = b[j]
-            if _dot_logs(spec, rows[j], b) != ((lam + t) % m if t >= 0 else -1):
-                return False
-        return True
-
-    return tuple(f for f in enumerate_monic_irreducibles(spec, n) if fixed(f))
+    """The oracle behind the brute-force count: every monic irreducible of
+    degree n fixed by cls, in encoding order (common_invariants of cls)."""
+    return common_invariants(cls.spec, (cls,), n)

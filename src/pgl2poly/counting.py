@@ -5,10 +5,11 @@ The closed count of degree-(D*m) invariants of a class of order D is
     phi(D)/(D*m) * sum over d | m, gcd(d, D) = 1 of
                        mu(d) * (q^(m/d) + eta(m/d))
 
-with a per-type correction eta.  The brute-force oracle scans the monic
-irreducibles directly; the criterion oracle counts degree-(D*m) factors of
-the criterion polynomials of the powers A^j with gcd(j, D) = 1, by distinct
-degree and without enumerating irreducibles.
+with a per-type correction eta.  The brute-force oracle solves for the
+invariants from the definition of the action, as the irreducible monic
+eigenvectors of its matrix on degree-n forms; the criterion oracle counts
+degree-(D*m) factors of the criterion polynomials of the powers A^j with
+gcd(j, D) = 1, by distinct degree and without enumerating irreducibles.
 
 Types 3 and 4 share the alternating eta: in both cases the criterion
 polynomial carries exactly one extra irreducible quadratic factor (x^2 - b,
@@ -93,7 +94,8 @@ def count_invariants_formula(m: Mat2, n: int) -> int:
 
 
 def count_invariants_bruteforce(cls: ProjMat, n: int) -> int:
-    """Oracle: scan every monic irreducible of degree n for invariance."""
+    """Oracle: the invariants of degree n found in the eigenspaces of the
+    action matrix, from the definition of the action alone."""
     if n < 2:
         raise ValueError("invariants have degree >= 2")
     return len(invariant_set(cls, n))

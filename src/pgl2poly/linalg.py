@@ -1,7 +1,8 @@
 """Tiny exact linear algebra over a field spec: solve and nullspace.
 
 Rows are lists of field elements; systems here are at most a few hundred
-rows (polynomial coefficient matching).
+rows (coefficient matching in decompose, eigenspaces of the action in
+common_invariants).
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def solve(spec, matrix, rhs):
 
 
 def nullspace(spec, matrix):
-    """A basis of the kernel of matrix (list of vectors)."""
+    """A basis of the kernel of matrix (list of vectors), one per free
+    column in ascending order: the vector of free column j is 1 at j and
+    zero above j."""
     width = len(matrix[0]) if matrix else 0
     rows = [list(row) for row in matrix]
     pivots = _eliminate(rows, width, spec)

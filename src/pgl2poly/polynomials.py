@@ -4,14 +4,13 @@ Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
 .coeffs, homogenize); single field values are Felt (lc, coeff, evaluation,
-scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
--1 for zero) in three kernels: _mul_logs (a term is log a + log b), _add_logs
-(g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
--g/lc, taken once per divisor by _reducer); _dot_logs sums the products of
-a sparse row with a log list, for the invariance scan.  Partial sums may
-pass q - 1 inside a kernel; every log it returns is reduced mod q - 1 and
-the list trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain
-kernels and convert from and to encodings once per call.
+scale, monomial, the entries of form_matrix).  Arithmetic runs on log lists
+(log_g of each coefficient, -1 for zero) in three kernels: _mul_logs (a term
+is log a + log b), _add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)]))
+and _rem_logs (division by -g/lc, taken once per divisor by _reducer).
+Partial sums may pass q - 1 inside a kernel; every log it returns is reduced
+mod q - 1 and the list trimmed.  So homogenize, pow_mod, gcd and
+is_irreducible chain kernels and convert from and to encodings once per call.
 """
 
 from __future__ import annotations
@@ -201,22 +200,6 @@ def _add_logs(ring, acc: list, b: list, shift: int) -> list:
     return acc
 
 
-def _dot_logs(ring, row: list, b: list) -> int:
-    # the log of the sum of g^(t + b[i]) over the (i, t) of row, -1 for zero
-    zech, m = ring.zech, ring.order - 1
-    acc = -1
-    for i, t in row:
-        s = b[i]
-        if s >= 0:
-            t += s
-            if acc < 0:
-                acc = t
-            else:
-                z = zech[(t - acc) % m]
-                acc = acc + z if z >= 0 else -1
-    return acc % m if acc > 0 else acc
-
-
 def _reducer(ring, g: list) -> tuple:
     # (deg g, log 1/lc, [(i, log(-g_i/lc)) for the nonzero g_i below the top])
     m, d = ring.order - 1, len(g) - 1
@@ -335,12 +318,6 @@ def _gcd_logs(ring, a: list, b: list) -> list:
     return a
 
 
-def compose(f: Poly, g: Poly) -> Poly:
-    """f(g(x)): the form sum f_i g^i 1^(deg f - i)."""
-    _same(f.ring, g.ring)
-    return homogenize(f.coeffs, g, Poly.one(f.ring), f.degree)
-
-
 def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
     """The binary form sum of coeffs[i] * u^i * v^(k-i), for coefficient
     encodings coeffs and k >= their degree, by Horner on the pair with a
@@ -360,6 +337,16 @@ def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
         if i:
             vp = _mul_logs(ring, vp, lv)
     return _from_logs(ring, acc)
+
+
+def form_matrix(u: Poly, v: Poly, k: int, height: int) -> list:
+    """The matrix of the linear map coeffs -> homogenize(coeffs, u, v, k) on
+    coefficient vectors of length k + 1: height rows of field elements, with
+    the coefficients of u^i * v^(k-i) down column i."""
+    ring = u.ring
+    cols = [homogenize((0,) * i + (1,), u, v, k).coeffs for i in range(k + 1)]
+    return [[ring.from_encoding(col[j] if j < len(col) else 0) for col in cols]
+            for j in range(height)]
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
@@ -386,14 +373,6 @@ def _pow_logs(ring, b: list, e: int, red: tuple) -> list:
         if not e:
             return [0] if result is None else result
         b = _rem_logs(ring, _mul_logs(ring, b, b), red)
-
-
-def derivative(f: Poly) -> Poly:
-    """The formal derivative: i * c_i, the integer i read in GF(p)."""
-    ring = f.ring
-    exp, log, p = ring.exp, ring.log, ring.p
-    return _poly(ring, [exp[log[c] + log[i % p]] if c and i % p else 0
-                        for i, c in enumerate(f.coeffs[1:], 1)])
 
 
 def reciprocal(f: Poly) -> Poly:

@@ -16,7 +16,6 @@ from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
                      element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
                      try_descend)
 from .numutil import divisors, power
-from .polynomials import Poly
 
 IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4 = 0, 1, 2, 3, 4
 
@@ -77,10 +76,6 @@ class Mat2:
 
     def scale(self, t: Felt) -> "Mat2":
         return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
-
-    def char_poly(self) -> Poly:
-        """x^2 - trace*x + det."""
-        return Poly(self.spec, (self.det.n, (-self.trace).n, 1))
 
     def is_scalar(self) -> bool:
         return not self.b and not self.c and self.a == self.d

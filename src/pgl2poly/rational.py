@@ -15,11 +15,12 @@ from collections import namedtuple
 from math import comb
 
 from . import linalg
-from .polynomials import (Poly, divrem, enumerate_monic_irreducibles, gcd,
-                          homogenize, is_irreducible, monicize)
+from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
+                          form_matrix, gcd, homogenize, is_irreducible,
+                          monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, reduce)
-from .action import act
+from .action import _linear_forms, act
 
 
 class RationalMap(namedtuple("RationalMap", "num den degree")):
@@ -38,12 +39,6 @@ class RationalMap(namedtuple("RationalMap", "num den degree")):
 
 
 QConstruction = namedtuple("QConstruction", "map source")
-
-
-def _linear_forms(p: Mat2) -> tuple[Poly, Poly]:
-    # the two columns of p, read as a*x + c and b*x + d
-    spec = p.spec
-    return Poly(spec, (p.c.n, p.a.n)), Poly(spec, (p.d.n, p.b.n))
 
 
 def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
@@ -158,9 +153,7 @@ def decompose(f: Poly, Q: RationalMap) -> Poly:
         raise ValueError(f"degree {f.degree} is not a multiple of {D}")
     mdeg = f.degree // D
     ring = f.ring
-    cols = [homogenize((0,) * j + (1,), Q.num, Q.den, mdeg)
-            for j in range(mdeg + 1)]
-    rows = [[col.coeff(i) for col in cols] for i in range(f.degree + 1)]
+    rows = form_matrix(Q.num, Q.den, mdeg, f.degree + 1)
     rhs = [f.coeff(i) for i in range(f.degree + 1)]
     sol = linalg.solve(ring, rows, rhs)
     if sol is None:

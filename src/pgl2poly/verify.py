@@ -19,9 +19,9 @@ from .polynomials import (Poly, divides, enumerate_monic_irreducibles,
 from .projective import (ContractError, Mat2, ProjMat, all_classes,
                          element_of_order, reduced_type2, reduced_type3,
                          reduced_type4, sigma_product)
-from .action import (F_poly, act, criterion_invariant, group_invariant,
+from .action import (F_poly, act, common_invariants, criterion_invariant,
                      invariant_set, is_cyclic, is_invariant, proj_act,
-                     quadratic_invariants, subgroup_closure)
+                     subgroup_closure)
 from .rational import generate_invariants, q_map, substitute_mobius
 from .counting import (count_factors_of_degree, count_invariants_bruteforce,
                        count_invariants_formula, count_via_criterion,
@@ -306,23 +306,6 @@ def suite_generation(spec: FieldSpec, seed: int = 12345):
 # ---------------------------------------------------------------------------
 # noncyclic and p-group nonexistence
 
-def _group_invariants_of_degree(spec, gens, n: int) -> list[Poly]:
-    # brute scan where the pool is small, generate-then-filter otherwise:
-    # every joint invariant is an invariant of each generator alone, so the
-    # complete per-class generation bounds the search
-    if spec.order <= 3:
-        return [f for f in enumerate_monic_irreducibles(spec, n)
-                if group_invariant(gens, f)]
-    with_div = [g for g in gens if g.order() > 1 and n % g.order() == 0]
-    if not with_div:
-        if count_invariants_formula(gens[0].rep, n):
-            raise ContractError("no generator order divides n, yet the count is nonzero")
-        return []
-    anchor = with_div[0]
-    candidates = generate_invariants(anchor.rep, n // anchor.order())
-    return [f for f in candidates if group_invariant(gens, f)]
-
-
 def _sample_noncyclic_subgroups(spec, rng, want: int):
     classes = [cls for cls in all_classes(spec) if not cls.is_identity()]
     small = [cls for cls in classes if cls.order() <= 4]
@@ -348,12 +331,11 @@ def suite_noncyclic(spec: FieldSpec, seed: int = 12345):
         classes = all_classes(spec)
         subgroups = {subgroup_closure([a, b]) for a in classes for b in classes}
         noncyc = [g for g in subgroups if not is_cyclic(g)]
-        ok = all(not _group_invariants_of_degree(spec, sorted(g, key=lambda x: x.encode()), n)
+        ok = all(not common_invariants(spec, g, n)
                  for g in noncyc for n in range(3, 7))
         rows.append(_row("noncyclic", "exhaustive-subgroups", ok,
                          f"{len(noncyc)} noncyclic subgroups, degrees 3..6"))
-        whole = sorted(subgroup_closure(classes), key=lambda x: x.encode())
-        quads = quadratic_invariants(spec, whole)
+        quads = list(common_invariants(spec, subgroup_closure(classes), 2))
         expected = [Poly.of(spec, 1, 1, 1)]
         rows.append(_row("noncyclic", "full-group-quadratics", quads == expected,
                          f"{[str(f) for f in quads]}"))
@@ -364,7 +346,7 @@ def suite_noncyclic(spec: FieldSpec, seed: int = 12345):
     ok = True
     for (g1, g2), _group in sampled:
         for n in range(3, 7):
-            if _group_invariants_of_degree(spec, [g1, g2], n):
+            if common_invariants(spec, [g1, g2], n):
                 ok = False
     rows.append(_row("noncyclic", "sampled-subgroups", ok and len(sampled) >= want,
                      f"{len(sampled)} sampled ({distinct} distinct), degrees 3..6"))
@@ -413,9 +395,7 @@ def suite_pgroup(spec: FieldSpec, seed: int = 12345):
         if len(group) != p * p:
             raise ContractError("two independent unipotents must generate p^2 classes")
         for n in range(2, 7):
-            hits = (quadratic_invariants(spec, gens) if n == 2
-                    else _group_invariants_of_degree(spec, gens, n))
-            if hits:
+            if common_invariants(spec, gens, n):
                 ok = False
                 details.append(f"degree {n} invariant under T({a.encode()}),T({b.encode()})")
     rows.append(_row("pgroup", "order-p2-no-invariants", ok,

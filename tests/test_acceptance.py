@@ -140,7 +140,7 @@ def test_criterion_09_type4_structure():
             if not c:
                 continue
             base = reduced_type4(spec, c)
-            chi = base.char_poly()
+            chi = Poly(spec, (base.det.n, (-base.trace).n, 1))
             if any(chi(x) == spec.zero for x in spec.elements()):
                 continue                       # x^2 - x - c reducible
             D = ProjMat(base).order()
@@ -162,7 +162,7 @@ def test_criterion_09_type4_structure():
             if not c:
                 continue
             base = reduced_type4(spec, c)
-            chi = base.char_poly()
+            chi = Poly(spec, (base.det.n, (-base.trace).n, 1))
             if any(chi(x) == spec.zero for x in spec.elements()):
                 continue
             for j in range(0, spec.order + 2):

@@ -4,14 +4,12 @@ from math import gcd
 import pytest
 
 from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
-                      criterion_invariant, divides,
+                      common_invariants, criterion_invariant, divides,
                       enumerate_monic_irreducibles, group_invariant,
                       invariant_set, is_cyclic, is_invariant, make_field,
-                      proj_act,
-                      quadratic_invariants, reciprocal, reduced_type2,
-                      reduced_type3, reduced_type4, star_act,
-                      subgroup_closure)
-from pgl2poly import action
+                      proj_act, reciprocal, reduced_type2, reduced_type3,
+                      reduced_type4, star_act, subgroup_closure)
+from pgl2poly import action, polynomials, verify
 from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import type_representatives
 
@@ -159,8 +157,8 @@ def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
 @pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),
                                         (5, 1, 4), (7, 1, 3)])
 def test_invariant_set_matches_direct_definition(p, s, top):
-    # the row scan against the direct definition, for every class (the
-    # identity included) and degree: 1,338 (class, degree) pairs in all
+    # the eigenspace search against the direct definition, for every class
+    # (the identity included) and degree: 1,338 (class, degree) pairs in all
     spec = make_field(p, s)
     for cls in all_classes(spec):
         for n in range(2, top + 1):
@@ -169,15 +167,63 @@ def test_invariant_set_matches_direct_definition(p, s, top):
             assert invariant_set(cls, n) == want, (cls.rep, n)
 
 
+@pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),
+                                        (5, 1, 4)])
+def test_common_invariants_match_the_group_filter(p, s, top):
+    # joint eigenspaces against group_invariant on every irreducible, for
+    # random lists of 0-3 classes drawn with the identity among them
+    spec = make_field(p, s)
+    rng = random.Random(p * 10 + s)
+    classes = all_classes(spec)
+    identity = ProjMat(Mat2.identity(spec))
+    for n in range(2, top + 1):
+        pool = enumerate_monic_irreducibles(spec, n)
+        for _ in range(40):
+            gens = [rng.choice(classes) for _ in range(rng.randrange(3))]
+            gens.insert(rng.randrange(len(gens) + 1), identity)
+            gens = gens[:rng.randrange(4)]
+            want = tuple(f for f in pool if group_invariant(gens, f))
+            assert common_invariants(spec, gens, n) == want, (gens, n)
+
+
+def test_common_invariants_never_enumerate_for_a_moving_class(monkeypatch, F3):
+    # a list with a non-identity class is solved in its eigenspaces; the
+    # scan enumerated all 116 sextics over GF(3) for each class
+    calls = []
+    monkeypatch.setattr(action, "enumerate_monic_irreducibles",
+                        lambda *args: calls.append(args))
+    ident = ProjMat(Mat2.identity(F3))
+    for _, rep in type_representatives(F3):
+        for n in (2, 3, 4, 6):
+            action.invariant_set.cache_clear()
+            action.invariant_set(ProjMat(rep), n)
+            common_invariants(F3, [ident, ProjMat(rep)], n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite, p, s", [(verify.suite_noncyclic, 5, 1),
+                                         (verify.suite_pgroup, 3, 2)])
+def test_group_suites_do_not_generate_invariants(monkeypatch, suite, p, s):
+    # the joint invariants come from the action alone, not from the
+    # transforms whose completeness the generation suite tests
+    calls = []
+    monkeypatch.setattr(verify, "generate_invariants",
+                        lambda *args: calls.append(args) or [])
+    rows = suite(make_field(p, s), seed=12345)
+    assert rows and all(r.passed for r in rows)
+    assert calls == []
+
+
 def test_invariant_set_builds_the_action_once_per_scan(monkeypatch, F3):
-    # one scan builds the n + 1 columns of the action matrix and never acts
-    # on a candidate; acting on each of the 116 sextics made 116+ calls
+    # one search builds the n + 1 columns of the action matrix and never
+    # acts on a candidate; acting on each of the 116 sextics made 116+ calls
     n = 6
     assert len(enumerate_monic_irreducibles(F3, n)) == 116
     calls = []
-    for name in ("homogenize", "act", "is_invariant"):
-        monkeypatch.setattr(action, name, lambda *args, _name=name,
-                            _f=getattr(action, name): calls.append(_name) or _f(*args))
+    for module, name in ((polynomials, "homogenize"), (action, "act"),
+                         (action, "is_invariant")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name,
+                            _f=getattr(module, name): calls.append(_name) or _f(*args))
     for _, rep in [("identity", Mat2.identity(F3))] + type_representatives(F3):
         action.invariant_set.cache_clear()
         calls.clear()
@@ -223,7 +269,7 @@ def test_group_invariant_cyclic_matches_single(F2):
 
 def test_quadratic_invariants_full_group_f2(F2):
     gens = [ProjMat(reduced_type2(F2)), ProjMat(reduced_type4(F2, F2.one))]
-    assert quadratic_invariants(F2, gens) == [Poly.of(F2, 1, 1, 1)]
+    assert common_invariants(F2, gens, 2) == (Poly.of(F2, 1, 1, 1),)
 
 def test_quadratic_invariants_translation_f3_empty(F3):
     # oracle: scan all monic irreducible quadratics for f(x+1) = f(x)
@@ -231,10 +277,10 @@ def test_quadratic_invariants_translation_f3_empty(F3):
     oracle = [f for f in enumerate_monic_irreducibles(F3, 2)
               if act(T, f) == f]
     assert oracle == []
-    assert quadratic_invariants(F3, [ProjMat(T)]) == []
+    assert common_invariants(F3, [ProjMat(T)], 2) == ()
 
 def test_quadratic_invariants_no_generators(F3):
-    assert quadratic_invariants(F3, []) == list(enumerate_monic_irreducibles(F3, 2))
+    assert common_invariants(F3, [], 2) == enumerate_monic_irreducibles(F3, 2)
 
 
 def test_star_act_is_transposed_action(F3):

@@ -84,15 +84,15 @@ def test_failed_conjugator_check_exits_one_under_optimize():
         "lambda c0, c1: [projective.make_ext(c0.spec).omega]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
-def test_degree_drop_in_the_brute_scan_exits_one_under_optimize():
-    # x^2 + x over GF(2) slipped into the enumeration: the swap [[0,1],[1,0]]
-    # maps it to its reciprocal x + 1, so the scan's leading coefficient
-    # f(0) is zero and the degree-drop check must fire
+def test_vector_outside_the_kernel_exits_one_under_optimize():
+    # a nullspace that appends the constant 1 to the true basis: the swap
+    # [[0,1],[1,0]] maps 1 to x^3, not to a multiple of 1, so the kernel
+    # check of the eigenspace search must fire
     _assert_internal_failure_under_optimize(
-        "import pgl2poly.action as action\n"
-        "action.enumerate_monic_irreducibles = "
-        "lambda spec, n: [action.Poly.of(spec, 0, 1, 1)]",
-        ["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "2",
+        "import pgl2poly.linalg as linalg\n"
+        "linalg.nullspace = lambda spec, rows, _kernel=linalg.nullspace: "
+        "_kernel(spec, rows) + [[spec.one] + [spec.zero] * (len(rows[0]) - 1)]",
+        ["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "3",
          "--method", "brute"])
 
 def test_cli_import_skips_typing_dataclasses_and_inspect():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, compose, derivative,
-                      divrem, divides, enumerate_monic_irreducibles, gcd,
-                      homogenize, is_irreducible, make_field, monic_polys,
-                      monicize, pow_mod, reciprocal, to_text)
+from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
+                      enumerate_monic_irreducibles, gcd, homogenize,
+                      is_irreducible, make_field, monic_polys, monicize,
+                      pow_mod, reciprocal, to_text)
 from pgl2poly import polynomials
 
 
@@ -77,22 +77,8 @@ def test_gcd_both_zero_rejected(F2):
         gcd(Poly.zero(F2), Poly.zero(F2))
 
 
-def test_compose_example(F3):
-    assert compose(Poly.of(F3, 1, 0, 1), Poly.of(F3, 1, 1)) == Poly.of(F3, 2, 2, 1)
-
 def test_eval_example(F2):
     assert Poly.of(F2, 1, 1, 0, 1)(F2.one) == F2.one
-
-def test_derivative_kills_characteristic_terms(F3):
-    assert derivative(Poly.of(F3, 1, 2, 0, 1)) == Poly.of(F3, 2)
-
-def test_compose_associativity_random(F5):
-    rng = random.Random(4)
-    for _ in range(50):
-        f, g, h = (Poly(F5, [rng.randrange(5)
-                             for _ in range(rng.randrange(1, 4))])
-                   for _ in range(3))
-        assert compose(f, compose(g, h)) == compose(compose(f, g), h)
 
 def test_pow_mod_matches_plain_power(F3):
     base = Poly.of(F3, 1, 1)
@@ -367,22 +353,6 @@ def test_kernels_return_reduced_trimmed_logs(ring):
                 assert reduced(polynomials._rem_logs(ring, r, red))
                 assert reduced(r[red[0]:])              # the quotient
 
-@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
-def test_dot_logs_matches_felt_reference(ring):
-    # the log of sum a_i * b_i for a sparse row of (i, log a_i): reduced, and
-    # -1 when the terms cancel (frequent in the small fields)
-    rng = random.Random(ring.order * 7 + 1)
-    q, log = ring.order, ring.log
-    for _ in range(300):
-        n = rng.randrange(1, 10)
-        a = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
-        b = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n)]
-        want = ring.zero
-        for x, y in zip(a, b):
-            want += ring.from_encoding(x) * ring.from_encoding(y)
-        row = [(i, log[x]) for i, x in enumerate(a) if x]
-        assert polynomials._dot_logs(ring, row, [log[y] for y in b]) == log[want.n]
-
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level
     # schoolbook loops made 16,222 Felt products and sums on this case
@@ -439,7 +409,6 @@ def _mixed_pair(small, big):
 BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
           "mul": lambda f, g: f * g, "divrem": divrem, "gcd": gcd,
           "divides": divides, "pow_mod": lambda f, g: pow_mod(f, 5, g),
-          "compose": compose,
           "homogenize": lambda f, g: homogenize((1, 1), f, g, 2)}
 
 @pytest.mark.parametrize("small,big", MIXED)
