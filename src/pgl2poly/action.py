@@ -9,7 +9,8 @@ The raw action on forms of degree n is linear in the coefficients: an
 (n+1) x (n+1) matrix M, built from the images of 1, x, ..., x^n.  A monic
 irreducible f of degree n is fixed by the class exactly when M f = lam * f
 for some nonzero lam, so common_invariants finds the invariants of a list of
-classes in their joint eigenspaces, with no scan over the irreducibles.
+classes in their joint eigenspaces, with no scan over the irreducibles.  The
+matrix, the eigenvalues and the kernel vectors are discrete logs throughout.
 is_invariant, proj_act and act are the direct definition; the tests check
 the eigenspace search against them.
 """
@@ -22,9 +23,9 @@ from math import gcd as int_gcd
 
 from . import linalg
 from .fields import FieldSpec
-from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
-                          form_matrix, homogenize, is_irreducible, monicize,
-                          pow_mod)
+from .polynomials import (Poly, _add_logs, _from_logs, divrem,
+                          enumerate_monic_irreducibles, form_matrix,
+                          homogenize, is_irreducible, monicize, pow_mod)
 from .projective import ContractError, Mat2, ProjMat
 
 
@@ -146,10 +147,15 @@ def group_invariant(generators, f: Poly) -> bool:
 
 
 def _kernel(spec: FieldSpec, rows) -> list:
-    # linalg.nullspace, with each basis vector checked against every row
+    # linalg.nullspace, each basis vector checked: the columns it weights sum to 0
     basis = linalg.nullspace(spec, rows)
+    cols = list(zip(*rows))
     for vec in basis:
-        if any(sum((a * x for a, x in zip(row, vec)), spec.zero) for row in rows):
+        acc = []
+        for x, col in zip(vec, cols):
+            if x >= 0:
+                acc = _add_logs(spec, acc, col, x)
+        if acc:
             raise ContractError("nullspace vector outside the kernel")
     return basis
 
@@ -165,36 +171,39 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     irreducible vectors of the joint eigenspaces, one kernel of the stacked
     rows M_k - lam_k * I per tuple of eigenvalues.  For a class of order D,
     A^D = mu * I gives M^D = mu^n * I, so lam_k runs over the roots of
-    lam^D = mu^n in GF(q)*.  Elimination leaves the free columns ascending
-    and the basis vector of free column j zero above j, so a monic vector
-    exists only when column n is free: that basis vector plus any
-    combination of the others."""
+    lam^D = mu^n in GF(q)*, that is log lam * D = n * log mu mod q - 1.
+    Elimination leaves the free columns ascending and the basis vector of
+    free column j zero above j, so a monic vector exists only when column n
+    is free: that basis vector plus any combination of the others.  Rows,
+    eigenvalues and vectors are discrete logs (-1 for zero), as in linalg."""
     if n < 2:
         raise ValueError("invariants are defined for degree >= 2")
+    log, m = spec.log, spec.order - 1          # log: GF(q) in encoding order
     eigen = []                           # per class: [(M - lam * I) rows]
     for cls in classes:
         if cls.is_identity():
             continue
         a, D = cls.rep, cls.order()
         M = form_matrix(*_linear_forms(a), n, n + 1)
-        target = (a**D).a ** n
-        eigen.append([[[x - lam if i == j else x for j, x in enumerate(row)]
+        target = log[(a**D).a.n] * n
+        eigen.append([[row[:i] + (_add_logs(spec, row[i:i + 1], [lam], spec.neg)
+                                  or [-1]) + row[i + 1:]
                        for i, row in enumerate(M)]
-                      for lam in spec.elements() if lam and lam**D == target])
+                      for lam in log[1:] if (lam * D - target) % m == 0])
     if not eigen:
         return enumerate_monic_irreducibles(spec, n)
     found = []
     for blocks in product(*eigen):
         basis = _kernel(spec, [row for block in blocks for row in block])
-        if not basis or not basis[-1][n]:
+        if not basis or basis[-1][n] < 0:
             continue
         top, rest = basis[-1], basis[:-1]
-        for cs in product(list(spec.elements()), repeat=len(rest)):
+        for cs in product(log, repeat=len(rest)):
             vec = list(top)
             for c, b in zip(cs, rest):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, b)]
-            f = Poly(spec, [x.n for x in vec])
+                if c >= 0:
+                    vec = _add_logs(spec, vec, b, c)     # entry n stays 1
+            f = _from_logs(spec, vec)
             if is_irreducible(f):
                 found.append(f)
     return tuple(sorted(found, key=Poly.encode))

@@ -1,28 +1,32 @@
 """Tiny exact linear algebra over a field spec: solve and nullspace.
 
-Rows are lists of field elements; systems here are at most a few hundred
-rows (coefficient matching in decompose, eigenspaces of the action in
-common_invariants).
+Rows, right-hand sides and solutions are lists of discrete logs (-1 for
+zero), the log lists of the polynomial kernels; row updates are
+polynomials._add_logs, so elimination looks up the Zech table and builds no
+field elements.  Systems here are at most a few hundred rows (coefficient
+matching in decompose, eigenspaces of the action in common_invariants).
 """
 
 from __future__ import annotations
 
+from .polynomials import _add_logs
+
 
 def _eliminate(rows, width, spec):
-    """Row-reduce in place; returns the list of pivot column indices."""
-    pivots = []
-    r = 0
+    """Row-reduce in place to reduced echelon form with unit pivots; returns
+    the list of pivot column indices.  Updated rows come back trimmed of
+    trailing zeros, so an entry past the end of a row is zero."""
+    pivots, r = [], 0
     for col in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        pivot = next((i for i in range(r, len(rows))
+                      if col < len(rows[i]) and rows[i][col] >= 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = top = _add_logs(spec, [], rows[r], -rows[r][col])  # pivot 1
         for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[r])]
+            if i != r and col < len(rows[i]) and rows[i][col] >= 0:
+                rows[i] = _add_logs(spec, rows[i], top, rows[i][col] + spec.neg)
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -39,12 +43,12 @@ def solve(spec, matrix, rhs):
     width = len(matrix[0]) if matrix else 0
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     pivots = _eliminate(rows, width, spec)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][width]:
-            return None
-    out = [spec.zero] * width
-    for r, col in enumerate(pivots):
-        out[col] = rows[r][width]
+    if any(len(row) > width and row[width] >= 0 for row in rows[len(pivots):]):
+        return None                                          # 0 = nonzero
+    out = [-1] * width
+    for row, col in zip(rows, pivots):
+        if len(row) > width:
+            out[col] = row[width]
     return out
 
 
@@ -55,12 +59,12 @@ def nullspace(spec, matrix):
     width = len(matrix[0]) if matrix else 0
     rows = [list(row) for row in matrix]
     pivots = _eliminate(rows, width, spec)
-    free = [c for c in range(width) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [spec.zero] * width
-        vec[fc] = spec.one
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][fc]
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [-1] * width
+        vec[fc] = 0
+        for row, col in zip(rows, pivots):
+            if fc < len(row) and row[fc] >= 0:
+                vec[col] = (row[fc] + spec.neg) % (spec.order - 1)
         basis.append(vec)
     return basis

@@ -4,13 +4,14 @@ Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
 .coeffs, homogenize); single field values are Felt (lc, coeff, evaluation,
-scale, monomial, the entries of form_matrix).  Arithmetic runs on log lists
-(log_g of each coefficient, -1 for zero) in three kernels: _mul_logs (a term
-is log a + log b), _add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)]))
-and _rem_logs (division by -g/lc, taken once per divisor by _reducer).
-Partial sums may pass q - 1 inside a kernel; every log it returns is reduced
-mod q - 1 and the list trimmed.  So homogenize, pow_mod, gcd and
-is_irreducible chain kernels and convert from and to encodings once per call.
+scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
+-1 for zero) in three kernels: _mul_logs (a term is log a + log b),
+_add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs
+(division by -g/lc, taken once per divisor by _reducer).  Partial sums may
+pass q - 1 inside a kernel; every log it returns is reduced mod q - 1 and
+the list trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain
+kernels and convert from and to encodings once per call, and form_matrix
+returns its entries as logs, the rows that linalg eliminates.
 """
 
 from __future__ import annotations
@@ -341,12 +342,17 @@ def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
 
 def form_matrix(u: Poly, v: Poly, k: int, height: int) -> list:
     """The matrix of the linear map coeffs -> homogenize(coeffs, u, v, k) on
-    coefficient vectors of length k + 1: height rows of field elements, with
-    the coefficients of u^i * v^(k-i) down column i."""
+    coefficient vectors of length k + 1: height rows of logs (-1 for zero),
+    with the coefficients of u^i * v^(k-i) down column i, each column one
+    product from the power lists u^0..u^k and v^0..v^k."""
     ring = u.ring
-    cols = [homogenize((0,) * i + (1,), u, v, k).coeffs for i in range(k + 1)]
-    return [[ring.from_encoding(col[j] if j < len(col) else 0) for col in cols]
-            for j in range(height)]
+    _same(ring, v.ring)
+    lu, lv, up, vp = _logs(u), _logs(v), [[0]], [[0]]
+    for _ in range(k):
+        up.append(_mul_logs(ring, up[-1], lu))
+        vp.append(_mul_logs(ring, vp[-1], lv))
+    cols = [_mul_logs(ring, up[i], vp[k - i]) for i in range(k + 1)]
+    return [[col[j] if j < len(col) else -1 for col in cols] for j in range(height)]
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:

@@ -15,9 +15,9 @@ from collections import namedtuple
 from math import comb
 
 from . import linalg
-from .polynomials import (Poly, divrem, enumerate_monic_irreducibles,
-                          form_matrix, gcd, homogenize, is_irreducible,
-                          monicize)
+from .polynomials import (Poly, _from_logs, _logs, divrem,
+                          enumerate_monic_irreducibles, form_matrix, gcd,
+                          homogenize, is_irreducible, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, reduce)
 from .action import _linear_forms, act
@@ -152,13 +152,11 @@ def decompose(f: Poly, Q: RationalMap) -> Poly:
     if f.degree % D:
         raise ValueError(f"degree {f.degree} is not a multiple of {D}")
     mdeg = f.degree // D
-    ring = f.ring
     rows = form_matrix(Q.num, Q.den, mdeg, f.degree + 1)
-    rhs = [f.coeff(i) for i in range(f.degree + 1)]
-    sol = linalg.solve(ring, rows, rhs)
+    sol = linalg.solve(f.ring, rows, _logs(f))
     if sol is None:
         raise ValueError("polynomial is not a transform under this map")
-    F = Poly(ring, [x.n for x in sol])
+    F = _from_logs(f.ring, sol)
     if not F:
         raise ContractError("decomposition produced the zero polynomial")
     return monicize(F)[1]

@@ -215,21 +215,33 @@ def test_group_suites_do_not_generate_invariants(monkeypatch, suite, p, s):
 
 
 def test_invariant_set_builds_the_action_once_per_scan(monkeypatch, F3):
-    # one search builds the n + 1 columns of the action matrix and never
+    # one search builds the action matrix once, from the power lists of its
+    # two linear forms: 2n powers and n + 1 column products, at most 3n + 1
+    # log products (a homogenize per column made 91 for n = 6), and it never
     # acts on a candidate; acting on each of the 116 sextics made 116+ calls
     n = 6
     assert len(enumerate_monic_irreducibles(F3, n)) == 116
-    calls = []
-    for module, name in ((polynomials, "homogenize"), (action, "act"),
-                         (action, "is_invariant")):
-        monkeypatch.setattr(module, name, lambda *args, _name=name,
-                            _f=getattr(module, name): calls.append(_name) or _f(*args))
+    muls, builds, calls = [], [], []
+    mul = polynomials._mul_logs
+    monkeypatch.setattr(polynomials, "_mul_logs",
+                        lambda *args: muls.append(1) or mul(*args))
+
+    def counted_build(*args, _build=action.form_matrix):
+        start = len(muls)
+        rows = _build(*args)
+        builds.append(len(muls) - start)
+        return rows
+    monkeypatch.setattr(action, "form_matrix", counted_build)
+    for name in ("act", "is_invariant"):
+        monkeypatch.setattr(action, name, lambda *args, _name=name,
+                            _f=getattr(action, name): calls.append(_name) or _f(*args))
     for _, rep in [("identity", Mat2.identity(F3))] + type_representatives(F3):
         action.invariant_set.cache_clear()
+        builds.clear()
         calls.clear()
         action.invariant_set(ProjMat(rep), n)
-        assert calls.count("homogenize") <= n + 1
-        assert "act" not in calls and "is_invariant" not in calls
+        assert len(builds) <= 1 and all(b <= 3 * n + 1 for b in builds)
+        assert not calls
 
 
 def test_closure_of_swap(F3):

@@ -85,13 +85,13 @@ def test_failed_conjugator_check_exits_one_under_optimize():
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
 def test_vector_outside_the_kernel_exits_one_under_optimize():
-    # a nullspace that appends the constant 1 to the true basis: the swap
-    # [[0,1],[1,0]] maps 1 to x^3, not to a multiple of 1, so the kernel
-    # check of the eigenspace search must fire
+    # a nullspace that appends the constant 1 (logs [0, -1, ..., -1]) to the
+    # true basis: the swap [[0,1],[1,0]] maps 1 to x^3, not to a multiple of
+    # 1, so the kernel check of the eigenspace search must fire
     _assert_internal_failure_under_optimize(
         "import pgl2poly.linalg as linalg\n"
         "linalg.nullspace = lambda spec, rows, _kernel=linalg.nullspace: "
-        "_kernel(spec, rows) + [[spec.one] + [spec.zero] * (len(rows[0]) - 1)]",
+        "_kernel(spec, rows) + [[0] + [-1] * (len(rows[0]) - 1)]",
         ["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "3",
          "--method", "brute"])
 

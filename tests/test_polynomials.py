@@ -6,7 +6,8 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
                       enumerate_monic_irreducibles, gcd, homogenize,
                       is_irreducible, make_field, monic_polys, monicize,
                       pow_mod, reciprocal, to_text)
-from pgl2poly import polynomials
+from pgl2poly import action, polynomials
+from pgl2poly.projective import all_classes
 
 
 def _mu(n):
@@ -139,6 +140,23 @@ def test_homogenize_rejects_short_form_degree(F3):
     x = Poly.x(F3)
     with pytest.raises(ValueError):
         homogenize((1, 1, 1), x, x, 1)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_form_matrix_matches_homogenize(p, s):
+    # column i is homogenize(x^i, u, v, k) for the linear forms u = a*x + c
+    # and v = b*x + d of every class, a constant u (a = 0) and a constant v
+    # (b = 0) included; two extra rows check the zero padding
+    ring = make_field(p, s)
+    forms = [action._linear_forms(cls.rep) for cls in all_classes(ring)]
+    assert any(u.degree == 0 for u, _ in forms) and any(v.degree == 0 for _, v in forms)
+    for u, v in forms:
+        for k in range(9):
+            rows = polynomials.form_matrix(u, v, k, k + 3)
+            assert len(rows) == k + 3 and all(len(row) == k + 1 for row in rows)
+            for i in range(k + 1):
+                col = homogenize((0,) * i + (1,), u, v, k)
+                assert [row[i] for row in rows] == (
+                    polynomials._logs(col) + [-1] * (k + 2 - col.degree))
 
 
 def test_reciprocal_self_reciprocal_linear(F2):
