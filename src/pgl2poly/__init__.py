@@ -11,7 +11,7 @@ from .polynomials import (Poly, divides, divrem, enumerate_monic_irreducibles,
                           monicize, pow_mod, reciprocal, to_text)
 from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
                          Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
-                         classify, element_of_order, power_closed_form,
+                         classify, element_of_order, lucas, power_closed_form,
                          proj_eq, reduce, reduced_type1, reduced_type2,
                          reduced_type3, reduced_type4, sigma_product)
 from .action import (F_poly, act, common_invariants, criterion_invariant,

@@ -26,7 +26,7 @@ from .fields import FieldSpec
 from .polynomials import (Poly, _add_logs, _from_logs, divrem,
                           enumerate_monic_irreducibles, form_matrix,
                           homogenize, is_irreducible, monicize, pow_mod)
-from .projective import ContractError, Mat2, ProjMat
+from .projective import ContractError, Mat2, ProjMat, lucas
 
 
 def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
@@ -170,11 +170,11 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     M f = lam * f with lam = lc(act f) nonzero: the invariants are the monic
     irreducible vectors of the joint eigenspaces, one kernel of the stacked
     rows M_k - lam_k * I per tuple of eigenvalues.  For a class of order D,
-    A^D = mu * I gives M^D = mu^n * I, so lam_k runs over the roots of
-    lam^D = mu^n in GF(q)*, that is log lam * D = n * log mu mod q - 1.
-    Elimination leaves the free columns ascending and the basis vector of
-    free column j zero above j, so a monic vector exists only when column n
-    is free: that basis vector plus any combination of the others.  Rows,
+    A^D = mu * I with mu = u_(D+1) of lucas(A), so M^D = mu^n * I and lam_k
+    runs over the roots of lam^D = mu^n in GF(q)*: log lam * D = n * log mu
+    mod q - 1.  Elimination leaves the free columns ascending and the basis
+    vector of free column j zero above j, so a monic vector exists only when
+    column n is free: that basis vector plus any mix of the others.  Rows,
     eigenvalues and vectors are discrete logs (-1 for zero), as in linalg."""
     if n < 2:
         raise ValueError("invariants are defined for degree >= 2")
@@ -183,9 +183,10 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     for cls in classes:
         if cls.is_identity():
             continue
-        a, D = cls.rep, cls.order()
-        M = form_matrix(*_linear_forms(a), n, n + 1)
-        target = log[(a**D).a.n] * n
+        u = lucas(cls.rep)
+        D = len(u) - 2
+        M = form_matrix(*_linear_forms(cls.rep), n, n + 1)
+        target = log[u[-1].n] * n
         eigen.append([[row[:i] + (_add_logs(spec, row[i:i + 1], [lam], spec.neg)
                                   or [-1]) + row[i + 1:]
                        for i, row in enumerate(M)]

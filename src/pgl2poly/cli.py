@@ -16,8 +16,7 @@ import sys
 
 from .fields import make_field
 from .polynomials import to_text
-from .projective import (IDENTITY, ContractError, Mat2, ProjMat, classify,
-                         reduce)
+from .projective import ContractError, Mat2, ProjMat, classify, reduce
 from .action import is_invariant
 from .rational import generate_invariants, q_map
 from .counting import (count_invariants_bruteforce, count_invariants_formula,
@@ -56,22 +55,21 @@ def _emit(payload: dict, fmt: str, tsv_rows=None):
 def cmd_classify(args) -> int:
     spec = make_field(args.p, args.s)
     m = _parse_matrix(spec, args.matrix)
-    info = classify(m)
-    if info.kind == IDENTITY:
+    if m.is_scalar():
         payload = {"field": spec.describe(), "matrix": _matrix_payload(m),
                    "type": "identity", "order": 1, "reduced": None,
                    "conjugator": None, "param": None, "eigenvalue": None}
     else:
-        rf = reduce(m)
+        info, red, conj, eig = reduce(m)
         payload = {
             "field": spec.describe(),
             "matrix": _matrix_payload(m),
             "type": info.kind,
             "order": ProjMat(m).order(),
-            "reduced": _matrix_payload(rf.reduced),
-            "conjugator": _matrix_payload(rf.conjugator),
+            "reduced": _matrix_payload(red),
+            "conjugator": _matrix_payload(conj),
             "param": info.param.encode() if info.param is not None else None,
-            "eigenvalue": [rf.eigenvalue.u.encode(), rf.eigenvalue.v.encode()],
+            "eigenvalue": [eig.u.encode(), eig.v.encode()],
         }
     _emit(payload, args.format)
     return 0

@@ -139,26 +139,8 @@ class ProjMat:
         return self.rep.is_scalar()
 
     def order(self) -> int:
-        """Least D >= 1 with the D-th power scalar; always lands in
-        {1} | divisors(q-1) | {p} | divisors(q+1).
-
-        By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
-        with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A non-scalar A
-        has A^j scalar exactly when u_j = 0, so two field elements step."""
-        if self.is_identity():
-            return 1
-        q = self.spec.order
-        tr, det = self.rep.trace, self.rep.det
-        d, u_prev, u = 1, self.spec.zero, self.spec.one
-        while u:
-            u_prev, u = u, tr * u - det * u_prev
-            d += 1
-            if d > q + 1:
-                raise ContractError("projective order exceeded q+1")
-        allowed = {1, self.spec.p} | set(divisors(q - 1)) | set(divisors(q + 1))
-        if d not in allowed:
-            raise ContractError(f"order {d} outside the admissible divisor set")
-        return d
+        """Least D >= 1 with the D-th power scalar, read off lucas(rep)."""
+        return 1 if self.is_identity() else len(lucas(self.rep)) - 2
 
     def encode(self) -> int:
         return self.rep.encode()
@@ -171,6 +153,30 @@ class ProjMat:
 
     def __repr__(self):
         return f"[{self.rep!r}]"
+
+
+def lucas(m: Mat2) -> list[Felt]:
+    """u_0, ..., u_D and then mu, for a non-scalar m whose class has order D
+    (in divisors(q-1) | {p} | divisors(q+1)) and m^D = mu*I.
+
+    By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
+    with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A^j is scalar
+    exactly when u_j = 0, so D is the first such j >= 1 and mu = u_(D+1) =
+    -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p."""
+    if m.is_scalar():
+        raise ValueError("a scalar matrix has no Lucas sequence")
+    spec, tr, det = m.spec, m.trace, m.det
+    q = spec.order
+    u = [spec.zero, spec.one]
+    while u[-1]:
+        u.append(tr * u[-1] - det * u[-2])
+        if len(u) > q + 2:
+            raise ContractError("projective order exceeded q+1")
+    D = len(u) - 1
+    if D not in {spec.p} | set(divisors(q - 1)) | set(divisors(q + 1)):
+        raise ContractError(f"order {D} outside the admissible divisor set")
+    u.append(-det * u[-2])
+    return u
 
 
 def proj_eq(m1: Mat2, m2: Mat2) -> bool:

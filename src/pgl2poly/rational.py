@@ -5,8 +5,8 @@ Q = num/den of degree D, fixed by the Moebius substitution of the class,
 such that the invariants of degree D*m are exactly the monic rescalings of
 den^m * F(num/den) with F of degree m.  The map is assembled per type from
 the two linear forms of the conjugator; type 4 additionally builds a pair
-of polynomials whose coefficients run through a two-term recurrence in
-GF(q), the Cayley-Hamilton sequence of the reduced matrix.
+of polynomials whose coefficients are the order's own sequence: the
+Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .polynomials import (Poly, _from_logs, _logs, divrem,
                           enumerate_monic_irreducibles, form_matrix, gcd,
                           homogenize, is_irreducible, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
-                         ReducedForm, reduce)
+                         ReducedForm, lucas, reduce)
 from .action import _linear_forms, act
 
 
@@ -46,17 +46,14 @@ def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
     for t and T the roots of x^2 - x - c in GF(q^2); both lie over GF(q).
 
     By the binomial theorem g_k = C(D,k) s(D-k+1) and h_k = C(D,k) s(D-k)
-    with s(j) = (T^j - t^j)/(T-t).  As t + T = 1 and t*T = -c, s runs in GF(q)
-    by s(0) = 0, s(1) = 1, s(j+1) = s(j) + c*s(j-1), and s(D) = 0 since t^D
-    = T^D.  C(D,k) is read mod p, an element of the prime field whose
-    encoding is itself."""
+    with s(j) = (T^j - t^j)/(T-t), which is lucas(rf.reduced): t and T are
+    the eigenvalues of the reduced [[0,1],[c,1]], and s(D) = 0 is its first
+    zero after s(0) since t^D = T^D.  C(D,k) is read mod p, an element of
+    the prime field whose encoding is itself."""
     spec = rf.reduced.spec
-    c = rf.info.param
-    s = [spec.zero, spec.one]
-    while len(s) < D + 2:
-        s.append(s[-1] + c * s[-2])
-    if s[D]:
-        raise ContractError("s(D) must vanish: t^D = T^D in GF(q)")
+    s = lucas(rf.reduced)
+    if len(s) != D + 2:
+        raise ContractError("s(D) must vanish first: t^D = T^D in GF(q)")
     binom = [spec.from_encoding(comb(D, k) % spec.p) for k in range(D + 1)]
     g = Poly(spec, [(b * s[D - k + 1]).n for k, b in enumerate(binom)])
     h = Poly(spec, [(b * s[D - k]).n for k, b in enumerate(binom)])

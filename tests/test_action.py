@@ -201,6 +201,18 @@ def test_common_invariants_never_enumerate_for_a_moving_class(monkeypatch, F3):
     assert calls == []
 
 
+def test_common_invariants_multiply_no_matrices(monkeypatch, F3):
+    # D and mu come from the order's own sequence; A^D by square-and-multiply
+    # made Mat2 products for every class
+    calls = []
+    mul = Mat2.__mul__
+    monkeypatch.setattr(Mat2, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for _, rep in type_representatives(F3):
+        common_invariants(F3, [ProjMat(rep)], 4)
+    assert calls == []
+
+
 @pytest.mark.parametrize("suite, p, s", [(verify.suite_noncyclic, 5, 1),
                                          (verify.suite_pgroup, 3, 2)])
 def test_group_suites_do_not_generate_invariants(monkeypatch, suite, p, s):

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -70,7 +71,7 @@ def test_failed_map_check_exits_one_under_optimize():
 
 def test_failed_order_check_exits_one_under_optimize():
     # with no admissible divisors the order 4 of diag(2, 1) over GF(5) is
-    # rejected by ProjMat.order
+    # rejected by projective.lucas
     _assert_internal_failure_under_optimize(
         "projective.divisors = lambda n: [1]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
@@ -94,6 +95,19 @@ def test_vector_outside_the_kernel_exits_one_under_optimize():
         "_kernel(spec, rows) + [[0] + [-1] * (len(rows[0]) - 1)]",
         ["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "3",
          "--method", "brute"])
+
+def test_src_has_no_assert():
+    # the checks above hold under python -O only because every internal
+    # check raises ContractError; an assert would vanish there
+    pkg = os.path.join(SRC, "pgl2poly")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
 
 def test_cli_import_skips_typing_dataclasses_and_inspect():
     # start-up cost is mostly import; these three cost about 18 ms and the

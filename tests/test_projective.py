@@ -4,7 +4,7 @@ import pytest
 
 from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       Poly, ProjMat, all_classes, classify, element_of_order,
-                      is_square, make_field, power_closed_form, proj_eq,
+                      is_square, lucas, make_field, power_closed_form, proj_eq,
                       reduce, reduced_type1, reduced_type2, reduced_type3,
                       reduced_type4, sigma_product, smallest_nonsquare)
 
@@ -161,6 +161,33 @@ def power_loop_order(cls):
 def test_order_matches_power_loop(p, s):
     for cls in all_classes(make_field(p, s)):
         assert cls.order() == power_loop_order(cls)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_lucas_matches_repeated_products(p, s):
+    # u_0..u_D and mu against the powers A, A^2, ..., A^(D+1) by products:
+    # D is the power-loop order, A^D = mu*I and A^j = u_j*A - det*u_(j-1)*I
+    for cls in all_classes(make_field(p, s)):
+        if cls.is_identity():
+            continue
+        A = cls.rep
+        u = lucas(A)
+        D = len(u) - 2
+        assert D == power_loop_order(cls)
+        power = A
+        for j in range(1, D + 2):
+            if j == D:
+                assert power == Mat2.identity(A.spec).scale(u[-1])
+            t = A.det * u[j - 1]
+            assert power.entries() == (u[j] * A.a - t, u[j] * A.b,
+                                       u[j] * A.c, u[j] * A.d - t)
+            power = power * A
+
+def test_lucas_rejects_scalar_matrices(F2, F5):
+    # a*I has u_j = j*a^(j-1), first zero at j = p: no order to read off
+    for m in (Mat2.identity(F2), Mat2.identity(F5).scale(F5.from_encoding(3))):
+        with pytest.raises(ValueError):
+            lucas(m)
 
 def test_order_cost_is_two_products_per_power(monkeypatch):
     # the order steps a two-term recurrence: two field products per power

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from pgl2poly import (TYPE4, Mat2, Poly, ProjMat, RationalMap, act, classify,
-                      decompose, enumerate_monic_irreducibles, frobenius_q,
+from pgl2poly import (TYPE4, ContractError, Mat2, Poly, ProjMat, RationalMap,
+                      act, classify, decompose, element_of_order,
+                      enumerate_monic_irreducibles, frobenius_q,
                       generate_invariants, invariant_set, is_invariant,
                       make_field, monicize, q_map, reduce, reduced_type1,
                       reduced_type2, reduced_type3, reduced_type4,
@@ -215,3 +216,10 @@ def test_type4_pair_matches_extension_expansion(q):
         assert _type4_reduced_pair(rf, D) == _reference_type4_pair(rf, D)
         checked += 1
     assert checked
+
+def test_type4_pair_rejects_a_wrong_order(F5):
+    # s(D) must be the first zero of the sequence after s(0)
+    rf = reduce(element_of_order(F5, 6).rep)
+    assert rf.info.kind == TYPE4 and _type4_reduced_pair(rf, 6)
+    with pytest.raises(ContractError, match="must vanish"):
+        _type4_reduced_pair(rf, 7)
