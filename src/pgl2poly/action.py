@@ -23,10 +23,10 @@ from math import gcd as int_gcd
 
 from . import linalg
 from .fields import FieldSpec
-from .polynomials import (Poly, _add_logs, _from_logs, divrem,
+from .polynomials import (Poly, _add_logs, _form, _from_logs, _same, divrem,
                           enumerate_monic_irreducibles, form_matrix,
-                          homogenize, is_irreducible, monicize, pow_mod)
-from .projective import ContractError, Mat2, ProjMat, lucas
+                          is_irreducible, monicize, pow_mod)
+from .projective import ContractError, Mat2, ProjMat, lucas_order
 
 
 def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
@@ -36,10 +36,15 @@ def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
 
 
 def act(m: Mat2, f: Poly) -> Poly:
-    """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f."""
+    """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f, one
+    polynomials._form on the logs of the two columns of m."""
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
-    return homogenize(f.coeffs, *_linear_forms(m), f.degree)
+    spec = m.spec
+    _same(spec, f.ring)
+    log = spec.log
+    return _form(spec, f.coeffs, [log[m.c.n], log[m.a.n]],
+                 [log[m.d.n], log[m.b.n]], f.degree)
 
 
 def star_act(m: Mat2, f: Poly) -> Poly:
@@ -170,7 +175,7 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     M f = lam * f with lam = lc(act f) nonzero: the invariants are the monic
     irreducible vectors of the joint eigenspaces, one kernel of the stacked
     rows M_k - lam_k * I per tuple of eigenvalues.  For a class of order D,
-    A^D = mu * I with mu = u_(D+1) of lucas(A), so M^D = mu^n * I and lam_k
+    A^D = mu * I with (D, mu) = lucas_order(A), so M^D = mu^n * I and lam_k
     runs over the roots of lam^D = mu^n in GF(q)*: log lam * D = n * log mu
     mod q - 1.  Elimination leaves the free columns ascending and the basis
     vector of free column j zero above j, so a monic vector exists only when
@@ -183,10 +188,9 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     for cls in classes:
         if cls.is_identity():
             continue
-        u = lucas(cls.rep)
-        D = len(u) - 2
+        D, mu = lucas_order(cls.rep)
         M = form_matrix(*_linear_forms(cls.rep), n, n + 1)
-        target = log[u[-1].n] * n
+        target = log[mu.n] * n
         eigen.append([[row[:i] + (_add_logs(spec, row[i:i + 1], [lam], spec.neg)
                                   or [-1]) + row[i + 1:]
                        for i, row in enumerate(M)]

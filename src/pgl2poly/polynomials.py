@@ -5,13 +5,15 @@ with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
 .coeffs, homogenize); single field values are Felt (lc, coeff, evaluation,
 scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
--1 for zero) in three kernels: _mul_logs (a term is log a + log b),
-_add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs
-(division by -g/lc, taken once per divisor by _reducer).  Partial sums may
-pass q - 1 inside a kernel; every log it returns is reduced mod q - 1 and
-the list trimmed.  So homogenize, pow_mod, gcd and is_irreducible chain
-kernels and convert from and to encodings once per call, and form_matrix
-returns its entries as logs, the rows that linalg eliminates.
+-1 for zero) in three kernels: _mul_into (acc += a*b, b given by its
+nonzero terms), _add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and
+_rem_logs (division by -g/lc, taken once per divisor by _reducer).  Logs may
+pass q - 1 inside a kernel; _mul_into leaves them so, and _mul_logs (one
+product), _add_logs and _rem_logs return them reduced mod q - 1, trimmed.
+pow_mod, gcd and is_irreducible chain these and convert from and to
+encodings once per call.  homogenize (and act) is one Horner loop, _form, on
+term lists of u and v built once, with logs unreduced until its one result;
+form_matrix returns logs, the rows that linalg eliminates.
 """
 
 from __future__ import annotations
@@ -166,9 +168,14 @@ def _mul_logs(ring, a: list, b: list) -> list:
     # the product a * b
     if not a or not b:
         return []
-    zech, m = ring.zech, ring.order - 1
-    terms = [(j, t) for j, t in enumerate(b) if t >= 0]
-    acc = [-1] * (len(a) + len(b) - 1)
+    m, acc = ring.order - 1, [-1] * (len(a) + len(b) - 1)
+    _mul_into(ring.zech, m, acc, a, [(j, t) for j, t in enumerate(b) if t >= 0])
+    return [x % m if x > 0 else x for x in acc]   # a[-1] * b[-1] is nonzero
+
+
+def _mul_into(zech, m: int, acc: list, a: list, terms: list):
+    # acc += a * b in place, for b given by its terms [(j, log b_j) if b_j];
+    # logs may come in unreduced and stay so
     for i, s in enumerate(a):
         if s >= 0:
             for j, t in terms:
@@ -180,7 +187,6 @@ def _mul_logs(ring, a: list, b: list) -> list:
                 else:
                     z = zech[(t - x) % m]
                     acc[j] = x + z if z >= 0 else -1
-    return [x % m if x > 0 else x for x in acc]   # a[-1] * b[-1] is nonzero
 
 
 def _add_logs(ring, acc: list, b: list, shift: int) -> list:
@@ -321,23 +327,37 @@ def _gcd_logs(ring, a: list, b: list) -> list:
 
 def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
     """The binary form sum of coeffs[i] * u^i * v^(k-i), for coefficient
-    encodings coeffs and k >= their degree, by Horner on the pair with a
-    running power of v."""
+    encodings coeffs and k >= their degree: the checks, then _form."""
     ring = u.ring
     _same(ring, v.ring)
     coeffs = _checked(ring, coeffs)
     top = len(coeffs) - 1
     if k < top:
         raise ValueError(f"form degree {k} is below the coefficient degree {top}")
-    log, lu, lv = ring.log, _logs(u), _logs(v)
+    return _form(ring, coeffs, _logs(u), _logs(v), k)
+
+
+def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
+    # homogenize for valid coeffs and u, v given by logs (trailing -1s allowed),
+    # by Horner: acc <- acc*u + c_i*v^(k-i), then v^(k-i) <- v^(k-i)*v, on term
+    # lists of u and v built once, with logs unreduced until the result
+    log, zech, m, top = ring.log, ring.zech, ring.order - 1, len(coeffs) - 1
+    tu = [(j, t) for j, t in enumerate(lu) if t >= 0]
+    tv = [(j, t) for j, t in enumerate(lv) if t >= 0]
+    du, dv = len(lu) - 1, len(lv) - 1
     acc, vp = [], [0]                              # vp = v^(k-i), logs
     for i in range(k, -1, -1):
-        acc = _mul_logs(ring, acc, lu)
-        if i <= top and coeffs[i]:
-            acc = _add_logs(ring, acc, vp, log[coeffs[i]])
+        c = log[coeffs[i]] if i <= top else -1
+        nxt = [t + c if t >= 0 else -1 for t in vp] if c >= 0 else []
+        nxt += [-1] * (len(acc) + du - len(nxt))
+        _mul_into(zech, m, nxt, acc, tu)
+        acc = nxt
         if i:
-            vp = _mul_logs(ring, vp, lv)
-    return _from_logs(ring, acc)
+            nxt = [-1] * (len(vp) + dv)
+            _mul_into(zech, m, nxt, vp, tv)
+            vp = nxt
+    exp = ring.exp
+    return _poly(ring, [exp[x % m] if x >= 0 else 0 for x in acc])
 
 
 def form_matrix(u: Poly, v: Poly, k: int, height: int) -> list:

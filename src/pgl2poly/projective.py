@@ -10,7 +10,7 @@ when they are opposite elements of GF(q^2) \\ GF(q) (type 3), and
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
                      element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
@@ -139,8 +139,8 @@ class ProjMat:
         return self.rep.is_scalar()
 
     def order(self) -> int:
-        """Least D >= 1 with the D-th power scalar, read off lucas(rep)."""
-        return 1 if self.is_identity() else len(lucas(self.rep)) - 2
+        """Least D >= 1 with the D-th power scalar, from lucas_order(rep)."""
+        return 1 if self.is_identity() else lucas_order(self.rep)[0]
 
     def encode(self) -> int:
         return self.rep.encode()
@@ -163,20 +163,32 @@ def lucas(m: Mat2) -> list[Felt]:
     with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A^j is scalar
     exactly when u_j = 0, so D is the first such j >= 1 and mu = u_(D+1) =
     -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p."""
+    u = list(_lucas_walk(m))
+    u.append(-m.det * u[-2])
+    return u
+
+
+def lucas_order(m: Mat2) -> tuple[int, Felt]:
+    """(D, mu) of lucas(m), from a walk that keeps the last two terms."""
+    (_, last), (D, _) = deque(enumerate(_lucas_walk(m)), maxlen=2)
+    return D, -m.det * last
+
+
+def _lucas_walk(m: Mat2):
+    # u_0, ..., u_D of lucas(m); D is checked before u_D = 0 is yielded
     if m.is_scalar():
         raise ValueError("a scalar matrix has no Lucas sequence")
     spec, tr, det = m.spec, m.trace, m.det
     q = spec.order
-    u = [spec.zero, spec.one]
-    while u[-1]:
-        u.append(tr * u[-1] - det * u[-2])
-        if len(u) > q + 2:
+    u, v, D = spec.zero, spec.one, 1                # u_(D-1), u_D
+    while v:
+        yield u
+        u, v, D = v, tr * v - det * u, D + 1
+        if D > q + 1:
             raise ContractError("projective order exceeded q+1")
-    D = len(u) - 1
     if D not in {spec.p} | set(divisors(q - 1)) | set(divisors(q + 1)):
         raise ContractError(f"order {D} outside the admissible divisor set")
-    u.append(-det * u[-2])
-    return u
+    yield from (u, v)
 
 
 def proj_eq(m1: Mat2, m2: Mat2) -> bool:

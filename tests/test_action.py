@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
 from pgl2poly import action, polynomials, verify
 from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import type_representatives
+from test_polynomials import _naive_form
 
 
 def _rand_matrix(spec, rng):
@@ -34,6 +36,24 @@ def test_act_translation_char2(F2):
     T = Mat2.from_encodings(F2, (1, 0, 1, 1))
     f = Poly.of(F2, 1, 1, 1)
     assert act(T, f) == f                 # (x+1)^2 + (x+1) + 1 = x^2 + x + 1
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_act_matches_linear_forms_reference(p, s):
+    # act on logs read off the matrix against power lists of the linear forms
+    # a*x + c and b*x + d, for every invertible matrix (b = 0 and a = 0
+    # included) and random f of degree 0..6
+    spec = make_field(p, s)
+    rng = random.Random(p * 10 + s)
+    q = spec.order
+    mats = [Mat2(a, b, c, d) for a, b, c, d in product(spec.elements(), repeat=4)
+            if a * d != b * c]
+    assert len(mats) == (q * q - 1) * (q * q - q)
+    assert any(not m.a for m in mats) and any(not m.b for m in mats)
+    for m in mats:
+        u, v = Poly(spec, (m.c.n, m.a.n)), Poly(spec, (m.d.n, m.b.n))
+        for deg in range(7):
+            f = Poly(spec, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+            assert act(m, f) == _naive_form(f.coeffs, u, v, deg)
 
 def test_act_rejects_zero(F2):
     with pytest.raises(ValueError):

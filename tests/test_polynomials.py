@@ -371,6 +371,35 @@ def test_kernels_return_reduced_trimmed_logs(ring):
                 assert reduced(polynomials._rem_logs(ring, r, red))
                 assert reduced(r[red[0]:])              # the quotient
 
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
+def test_form_kernel_matches_power_lists(ring):
+    # polynomials._form, through homogenize and on log lists with a trailing
+    # zero (as act passes a*x + c with a = 0), for u and v of every degree
+    # -1..3 (zero and constant included), coefficient lists with a zero
+    # constant or a zero top term and k = top..top+3; k = 40 keeps the logs
+    # unreduced over many Horner steps
+    rng = random.Random(ring.order * 13 + ring.modulus[0])
+    q = ring.order
+
+    def rand_poly(deg):
+        if deg < 0:
+            return Poly.zero(ring)
+        return Poly(ring, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+    long_run = (ring.p, ring.s) in ((2, 6), (7, 2))
+    for trial in range(50):
+        u, v = rand_poly(trial % 5 - 1), rand_poly(trial // 5 % 5 - 1)
+        coeffs = [rng.randrange(q) for _ in range(rng.randrange(6))]
+        if trial % 3 == 1:
+            coeffs = [0] + coeffs                # zero constant coefficient
+        elif trial % 3 == 2:
+            coeffs = coeffs + [0]                # zero top coefficient
+        top = Poly(ring, coeffs).degree
+        for k in [*range(max(top, 0), top + 4), *([40] if long_run else [])]:
+            want = _naive_form(coeffs[:top + 1], u, v, k)
+            assert homogenize(coeffs, u, v, k) == want
+            assert polynomials._form(ring, tuple(coeffs), polynomials._logs(u) + [-1],
+                                     polynomials._logs(v) + [-1], k) == want
+
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level
     # schoolbook loops made 16,222 Felt products and sums on this case
@@ -416,6 +445,31 @@ def test_act_and_pow_mod_build_at_most_three_polys(monkeypatch):
         assert built[0] <= 3
 
 
+def test_act_builds_only_its_result(monkeypatch):
+    # act reads the logs of a*x + c and b*x + d off the matrix; building the
+    # two linear forms as Polys made 3
+    F5 = make_field(5, 1)
+    f = Poly.of(F5, 1, 4, 0, 2, 3)
+    built = []
+    init, unchecked = Poly.__init__, polynomials._poly
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(polynomials, "_poly", lambda *a: built.append(a) or unchecked(*a))
+    for entries in ((2, 3, 1, 1), (0, 1, 1, 0), (1, 0, 4, 2)):
+        built.clear()
+        act(Mat2.from_encodings(F5, entries), f)
+        assert len(built) == 1
+
+def test_homogenize_calls_no_product_kernel(monkeypatch):
+    # one Horner kernel: the per-step _mul_logs, _add_logs and _from_logs
+    # calls (each rebuilding term lists and reducing logs) are gone
+    F7 = make_field(7, 1)
+    u, v = Poly.of(F7, 3, 2), Poly.of(F7, 1, 5, 6)
+    coeffs = tuple(range(1, 7)) * 2 + (4,)
+    want = homogenize(coeffs, u, v, 12)
+    for name in ("_mul_logs", "_add_logs", "_from_logs"):
+        monkeypatch.setattr(polynomials, name, None)
+    assert homogenize(coeffs, u, v, 12) == want
+
 # -- polynomials over different fields never mix ----------------------------
 
 MIXED = [((3, 1), (3, 2)), ((2, 1), (2, 2))]
@@ -448,6 +502,9 @@ def test_field_value_arguments_reject_mixed_fields(small, big):
         f(b.one)
     with pytest.raises(ValueError, match="mixed field specs"):
         Poly.monomial(a, b.one, 2)
+    for m, h in ((Mat2.identity(b), f), (Mat2.identity(a), g)):
+        with pytest.raises(ValueError, match="mixed field specs"):
+            act(m, h)                     # f's encodings are valid in b
 
 def test_monomial_rejects_a_negative_exponent(F3):
     assert Poly.monomial(F3, F3.one, 0) == Poly.one(F3)

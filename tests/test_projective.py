@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       is_square, lucas, make_field, power_closed_form, proj_eq,
                       reduce, reduced_type1, reduced_type2, reduced_type3,
                       reduced_type4, sigma_product, smallest_nonsquare)
+from pgl2poly.projective import lucas_order
 
 
 def _rand_matrix(spec, rng):
@@ -174,6 +176,7 @@ def test_lucas_matches_repeated_products(p, s):
         u = lucas(A)
         D = len(u) - 2
         assert D == power_loop_order(cls)
+        assert lucas_order(A) == (D, u[-1])
         power = A
         for j in range(1, D + 2):
             if j == D:
@@ -202,6 +205,19 @@ def test_order_cost_is_two_products_per_power(monkeypatch):
     monkeypatch.setattr(Felt, "__mul__", counted)
     assert cls.order() == 402
     assert calls[0] <= 2 * (spec.order + 1)
+
+def test_order_keeps_two_lucas_terms():
+    # order() walks the sequence without the list u_0..u_(D+1): for the
+    # order-8192 type-4 class over GF(8191) the list peaked at 455 KiB
+    cls = element_of_order(make_field(8191, 1), 8192)
+    assert classify(cls.rep).kind == TYPE4
+    tracemalloc.start()
+    try:
+        assert cls.order() == 8192
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 def test_conjugate_orders_agree(F5):
     rng = random.Random(3)
