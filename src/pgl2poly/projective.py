@@ -90,7 +90,7 @@ class Mat2:
                 and self.entries() == other.entries())
 
     def __hash__(self):
-        return hash((self.spec, self.entries()))
+        return hash((self.a.n, self.b.n, self.c.n, self.d.n))
 
     def __repr__(self):
         return "[" + ",".join(str(x.encode()) for x in self.entries()) + "]"

@@ -95,7 +95,10 @@ def q_map(m: Mat2) -> QConstruction:
     out = RationalMap(num, den, D)
     if gcd(num, den) != Poly.one(m.spec):
         raise ContractError("num and den must be coprime")
-    if substitute_mobius(out, m) != out.normalized():
+    # coprime, so in lowest terms the pair is only rescaled to a monic den
+    inv = den.lc().inverse()
+    lowest = RationalMap(num.scale(inv), den.scale(inv), max(num.degree, den.degree))
+    if substitute_mobius(out, m) != lowest:
         raise ContractError("map must be fixed by its own Moebius substitution")
     return QConstruction(out, rf)
 

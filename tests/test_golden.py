@@ -3,7 +3,9 @@
 `golden/cli.json` holds argv lists with the exit code and stdout they
 produced: classify, qmap, invariants --check and count for every type
 representative of q in {2, 3, 4, 5, 7, 9} plus one non-reduced conjugate
-per field, and every verify suite on GF(2).  Refactors must keep them.
+per field, every verify suite on GF(2), and the sampled action-laws and
+sigma suites on GF(3), GF(4) and GF(5) with seed 7.  Refactors must keep
+them.
 """
 
 import contextlib

@@ -26,6 +26,21 @@ def test_swap_matrix_is_an_involution(F3):
     E = Mat2.from_encodings(F3, (0, 1, 1, 0))
     assert E * E == Mat2.identity(F3)
 
+def test_mat2_hash_reads_only_the_encodings(monkeypatch, F3):
+    # equal matrices hash equal, with no Felt or FieldSpec hashing; the spec
+    # still separates matrices in the equality test
+    F9 = make_field(3, 2)
+    A, B = (Mat2.from_encodings(F3, (1, 2, 0, 1)) for _ in range(2))
+    C = Mat2.from_encodings(F9, (1, 2, 0, 1))
+
+    def refuse(self):
+        raise AssertionError("Mat2.__hash__ must hash only encodings")
+    for cls in (Felt, type(F3)):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    assert A is not B and A == B and hash(A) == hash(B) == hash(C)
+    assert A != C and len({A, B, C}) == 2
+    assert hash(ProjMat(A.scale(F3.from_encoding(2)))) == hash(ProjMat(B))
+
 def test_char_poly_of_worked_example(F7):
     A = Mat2.from_encodings(F7, (0, 1, 6, 1))
     chi = Poly(F7, (A.det.n, (-A.trace).n, 1))           # x^2 - tr*x + det

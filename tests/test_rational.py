@@ -10,6 +10,7 @@ from pgl2poly import (TYPE4, ContractError, Mat2, Poly, ProjMat, RationalMap,
                       make_field, monicize, q_map, reduce, reduced_type1,
                       reduced_type2, reduced_type3, reduced_type4,
                       substitute_mobius, transform, try_descend)
+from pgl2poly import rational
 from pgl2poly.rational import _type4_reduced_pair
 
 
@@ -87,6 +88,23 @@ def test_fixed_point_identity_for_random_classes(F5):
                 break
         Q = q_map(A).map
         assert substitute_mobius(Q, A) == Q.normalized()
+
+
+def test_q_map_checks_lowest_terms_with_one_gcd(monkeypatch, F5):
+    # once gcd(num, den) = 1 the pair in lowest terms is the rescaled pair;
+    # the substitution alone is normalized; normalizing the pair too cost
+    # a third gcd and two more divrem
+    calls = []
+    for name in ("gcd", "divrem"):
+        monkeypatch.setattr(rational, name, lambda *args, _name=name,
+                            _f=getattr(rational, name): calls.append(_name) or _f(*args))
+    for rep in (reduced_type1(F5, F5.from_encoding(2)), reduced_type2(F5),
+                reduced_type3(F5, F5.from_encoding(2)),
+                reduced_type4(F5, F5.from_encoding(4))):
+        calls.clear()
+        Q = q_map(rep).map
+        assert calls.count("gcd") == 2 and calls.count("divrem") == 2
+        assert substitute_mobius(Q, rep) == Q.normalized()
 
 
 def test_transform_examples(F2):

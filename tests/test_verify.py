@@ -1,0 +1,125 @@
+"""The verify suites: the cost of their sweeps, the random matrices they
+draw, and the rule that the package holds no cache beyond a fixed few."""
+
+import ast
+import glob
+import os
+import random
+
+import pytest
+
+from pgl2poly import Mat2, action, make_field, verify
+
+
+def _felt_random_matrix(spec, rng):
+    # the reference draw: four Felts and the determinant test in the field
+    q = spec.order
+    while True:
+        a, b, c, d = (spec.from_encoding(rng.randrange(q)) for _ in range(4))
+        if a * d != b * c:
+            return Mat2(a, b, c, d)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_random_matrix_matches_felt_reference(p, s):
+    spec = make_field(p, s)
+    fast, slow = random.Random(p * 10 + s), random.Random(p * 10 + s)
+    for _ in range(2000):
+        assert verify._random_matrix(spec, fast) == _felt_random_matrix(spec, slow)
+    assert fast.getstate() == slow.getstate()
+
+
+def _count_act(monkeypatch):
+    calls, act = [], action.act
+    for module in (action, verify):
+        monkeypatch.setattr(module, "act", lambda *args: calls.append(args) or act(*args))
+    return calls
+
+
+def test_action_laws_act_once_per_distinct_pair(monkeypatch, F2):
+    # 6 classes times the 12 irreducibles of degree 2..5 give 72 images, and
+    # multiplicativity acts 3 times on each of its 200 random cases; checking
+    # each of the 432 triples on its own made 2,760 calls
+    calls = _count_act(monkeypatch)
+    rows = verify.suite_action_laws(F2, seed=7)
+    assert all(r.passed for r in rows)
+    assert [r.detail for r in rows[:4]] == ["432 cases"] * 4
+    assert len(calls) <= 72 + 600
+
+
+@pytest.mark.parametrize("seed", [7, 12345])
+def test_sigma_acts_once_per_distinct_triple(monkeypatch, F2, seed):
+    # over GF(2) there are 5 non-scalar A, 6 A0 and 3 r, so at most 90 of
+    # the 500 sampled triples are distinct; the parent acted 500 times
+    calls = _count_act(monkeypatch)
+    rows = verify.suite_sigma(F2, seed=seed)
+    assert all(r.passed for r in rows)
+    assert rows[-1].detail == "500 triples, r <= 2"
+    assert len(calls) <= 5 * 6 * 3
+
+
+# ---------------------------------------------------------------------------
+# the cache rule: a process-wide cache keeps later bench passes warm, so only
+# these may exist, and the bench empties the ones that hold results
+
+ALLOWED_CACHES = {
+    "fields.make_field", "fields._primitive_element", "fields.make_ext",
+    "polynomials.is_irreducible", "polynomials.enumerate_monic_irreducibles",
+    "action.invariant_set", "cli._parser",
+}
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "pgl2poly")
+
+
+def _is_cache(expr) -> bool:
+    # functools.cache, lru_cache(...), and either called on a function
+    while isinstance(expr, ast.Call):
+        expr = expr.func
+    name = expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+    return name in {"cache", "lru_cache"}
+
+
+def module_level_caches(src_dir: str) -> set[str]:
+    """module.name for every cache made at import time: a decorated function
+    or an assignment in a module body or a class body in it."""
+    found = set()
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        bodies = [(module, tree.body)]
+        while bodies:
+            prefix, body = bodies.pop()
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    bodies.append((f"{prefix}.{node.name}", node.body))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if any(map(_is_cache, node.decorator_list)):
+                        found.add(f"{prefix}.{node.name}")
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                    if _is_cache(node.value):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        found.update(f"{prefix}.{ast.unparse(t)}" for t in targets)
+    return found
+
+
+def test_no_module_level_cache_beyond_the_allowed_few():
+    assert module_level_caches(SRC_DIR) == ALLOWED_CACHES
+
+
+def test_cache_scan_sees_decorators_and_assignments(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@functools.cache\n"
+        "def a(): pass\n"
+        "@lru_cache(maxsize=8)\n"
+        "def b(): pass\n"
+        "c = functools.cache(a)\n"
+        "class K:\n"
+        "    @functools.lru_cache\n"
+        "    def d(self): pass\n"
+        "def e():\n"
+        "    local = functools.cache(a)\n")
+    assert module_level_caches(str(tmp_path)) == {"mod.a", "mod.b", "mod.c", "mod.K.d"}
