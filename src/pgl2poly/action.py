@@ -140,8 +140,8 @@ def subgroup_closure(generators) -> frozenset[ProjMat]:
 
 
 def is_cyclic(group) -> bool:
-    """True iff some member generates the whole set."""
-    members = list(group)
+    """True iff some member, tried in ascending encoding, generates the set."""
+    members = sorted(group, key=ProjMat.encode)
     n = len(members)
     return any(g.order() == n for g in members)
 

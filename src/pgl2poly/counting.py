@@ -19,7 +19,6 @@ roots from the degree count is what the (-1)^(m+1) correction records.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
@@ -167,6 +166,7 @@ def quadratic_factor_of_F(c, j: int, mm: int):
 
 def asymptotic_ratio(m: Mat2, mm: int) -> Fraction:
     """The exact ratio count * D * m / (q^m * phi(D)), which tends to 1."""
+    from fractions import Fraction          # kept out of the start-up imports
     cls = ProjMat(m)
     D = cls.order()
     if D * mm <= 2:

@@ -1,4 +1,5 @@
-"""Tiny exact linear algebra over a field spec: solve and nullspace.
+"""Tiny exact linear algebra over a field spec: nullspace, and solve as one
+kernel vector of the augmented matrix.
 
 Rows, right-hand sides and solutions are lists of discrete logs (-1 for
 zero), the log lists of the polynomial kernels; row updates are
@@ -35,21 +36,15 @@ def _eliminate(rows, width, spec):
 
 
 def solve(spec, matrix, rhs):
-    """One solution of matrix * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero; when the kernel is trivial the solution
-    is unique.
-    """
-    width = len(matrix[0]) if matrix else 0
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = _eliminate(rows, width, spec)
-    if any(len(row) > width and row[width] >= 0 for row in rows[len(pivots):]):
-        return None                                          # 0 = nonzero
-    out = [-1] * width
-    for row, col in zip(rows, pivots):
-        if len(row) > width:
-            out[col] = row[width]
-    return out
+    """One solution of matrix * x = rhs (free variables zero), or None: x is
+    the last kernel vector of [matrix | -rhs] without its last entry, when
+    that entry is 1 (the last column is free exactly when x exists)."""
+    if not matrix:
+        return []
+    m = spec.order - 1
+    basis = nullspace(spec, [list(row) + [(b + spec.neg) % m if b >= 0 else -1]
+                             for row, b in zip(matrix, rhs)])
+    return basis[-1][:-1] if basis and basis[-1][-1] == 0 else None
 
 
 def nullspace(spec, matrix):

@@ -362,7 +362,7 @@ def reduce(m: Mat2) -> ReducedForm:
             conj = _min_encoding_conjugator(m.scale(m.trace.inverse()), red)
         eig = _quadratic_roots(-info.param, -spec.one)[0]
 
-    if ProjMat(conj * red * conj.inverse()) != ProjMat(m):
+    if not proj_eq(conj * red, m * conj):               # conj is invertible
         raise ContractError("conjugation identity failed")
     return ReducedForm(info, red, conj, eig)
 

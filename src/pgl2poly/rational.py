@@ -95,20 +95,19 @@ def q_map(m: Mat2) -> QConstruction:
     out = RationalMap(num, den, D)
     if gcd(num, den) != Poly.one(m.spec):
         raise ContractError("num and den must be coprime")
-    # coprime, so in lowest terms the pair is only rescaled to a monic den
-    inv = den.lc().inverse()
-    lowest = RationalMap(num.scale(inv), den.scale(inv), max(num.degree, den.degree))
-    if substitute_mobius(out, m) != lowest:
+    sub = substitute_mobius(out, m)
+    if sub.num * den != sub.den * num:
         raise ContractError("map must be fixed by its own Moebius substitution")
     return QConstruction(out, rf)
 
 
 def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
-    """Q((ax+c)/(bx+d)) in lowest terms, denominator monic."""
+    """Q((ax+c)/(bx+d)) as the pair of degree-Q.degree forms in (ax+c, bx+d),
+    not reduced: compare it with Q by cross-multiplying, or normalize both."""
     n = Q.degree
     u, v = _linear_forms(m)
     return RationalMap(homogenize(Q.num.coeffs, u, v, n),
-                       homogenize(Q.den.coeffs, u, v, n), n).normalized()
+                       homogenize(Q.den.coeffs, u, v, n), n)
 
 
 def transform(F: Poly, Q: RationalMap) -> Poly:

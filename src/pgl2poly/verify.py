@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import namedtuple
-from math import gcd as int_gcd
 
 from .fields import FieldSpec, smallest_nonsquare
 from .numutil import divisors
@@ -22,14 +21,13 @@ from .polynomials import (Poly, divides, enumerate_monic_irreducibles,
                           gcd as poly_gcd, is_irreducible)
 from .projective import (ContractError, Mat2, ProjMat, all_classes,
                          element_of_order, reduced_type2, reduced_type3,
-                         reduced_type4, sigma_product)
+                         sigma_product)
 from .action import (F_poly, act, common_invariants, criterion_invariant,
                      invariant_set, is_cyclic, is_invariant, proj_act,
                      subgroup_closure)
 from .rational import generate_invariants, q_map, substitute_mobius
-from .counting import (count_factors_of_degree, count_invariants_bruteforce,
-                       count_invariants_formula, count_via_criterion,
-                       mobius_inversion, principal_character)
+from .counting import (count_invariants_bruteforce, count_invariants_formula,
+                       count_via_criterion)
 
 
 CheckRow = namedtuple("CheckRow", "suite name passed detail", defaults=("",))
@@ -243,28 +241,6 @@ def suite_counting(spec: FieldSpec, seed: int = 12345):
     return rows
 
 
-def inversion_consistency(spec: FieldSpec, c, max_m: int = 4):
-    """Criterion-side factor counts against the generalized inversion of
-    L(t) = q^t + (-1)^(t+1), for the order-(q+1)-family element [[0,1],[c,1]]."""
-    base = reduced_type4(spec, c)
-    D = ProjMat(base).order()
-    q = spec.order
-    results = []
-    for mm in range(1, max_m + 1):
-        if D * mm <= 2:
-            continue
-        expect = mobius_inversion(lambda d: principal_character(D, d),
-                                  lambda t: q**t + (1 if t % 2 else -1), mm)
-        if expect % (D * mm):
-            raise ContractError("Moebius-inverted count must be divisible by D*m")
-        expect //= D * mm
-        for j in range(1, D):
-            if int_gcd(j, D) == 1:
-                got = count_factors_of_degree(F_poly(base**j, mm), D * mm)
-                results.append((mm, j, expect, got))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # rational maps
 
@@ -285,7 +261,8 @@ def suite_qmap_fixed_point(spec: FieldSpec, seed: int = 12345):
     for cls in classes:
         qc = q_map(cls.rep)
         Q = qc.map
-        fixed_ok = fixed_ok and substitute_mobius(Q, cls.rep) == Q.normalized()
+        fixed_ok = (fixed_ok and substitute_mobius(Q, cls.rep).normalized()
+                    == Q.normalized())
         shape_ok = (shape_ok and Q.degree == cls.order()
                     and poly_gcd(Q.num, Q.den) == Poly.one(spec))
     rows.append(_row("qmap-fixed-point", "fixed-point", fixed_ok,

@@ -287,6 +287,20 @@ def test_closure_klein_four(F3):
     group = subgroup_closure([g1, g2])
     assert len(group) == 4 and not is_cyclic(group)
 
+def test_is_cyclic_tries_members_in_ascending_encoding(monkeypatch, F3):
+    # the order() calls made follow the encodings, not the set's hash order
+    seen = []
+    monkeypatch.setattr(ProjMat, "order", lambda g, _order=ProjMat.order:
+                        seen.append(g.encode()) or _order(g))
+    cyclic = subgroup_closure([ProjMat(reduced_type4(F3, F3.one))])
+    klein = subgroup_closure([ProjMat(Mat2.from_encodings(F3, (2, 0, 0, 1))),
+                              ProjMat(reduced_type3(F3, F3.from_encoding(2)))])
+    for group, answer in ((cyclic, True), (klein, False)):
+        seen.clear()
+        assert is_cyclic(group) == answer
+        codes = sorted(g.encode() for g in group)
+        assert seen == codes[:len(seen)] and (answer or seen == codes)
+
 def test_closure_full_group_f2(F2):
     gens = [ProjMat(reduced_type2(F2)), ProjMat(reduced_type4(F2, F2.one))]
     assert len(subgroup_closure(gens)) == 2 ** 3 - 2

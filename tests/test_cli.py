@@ -28,9 +28,10 @@ def test_classify_rejects_singular_matrix():
     res = run_cli("classify", "--p", "3", "--s", "1", "--matrix", "1,1,1,1")
     assert res.returncode == 2
 
-def _assert_internal_failure_under_optimize(patch, argv):
+def _assert_internal_failure_under_optimize(patch, argv, message=""):
     # run main(argv) under python -O after the patch line; the internal
-    # check must still fire: exit 1, an error line, no traceback
+    # check must still fire: exit 1, an error line (naming the check when
+    # message is given), no traceback
     code = ("import sys\n"
             "import pgl2poly.projective as projective\n"
             "import pgl2poly.rational as rational\n"
@@ -42,7 +43,7 @@ def _assert_internal_failure_under_optimize(patch, argv):
     res = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 1
-    assert res.stderr.startswith("error: internal check failed:")
+    assert res.stderr.startswith(f"error: internal check failed: {message}".rstrip())
     assert "Traceback" not in res.stderr
 
 def test_failed_internal_check_exits_one_under_optimize():
@@ -85,6 +86,15 @@ def test_failed_conjugator_check_exits_one_under_optimize():
         "lambda c0, c1: [projective.make_ext(c0.spec).omega]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])
 
+def test_failed_conjugation_check_exits_one_under_optimize():
+    # with the identity for a conjugator, the type-3 class [[1,2],[2,6]] over
+    # GF(7) is not taken to its reduced form; only reduce's final check sees it
+    _assert_internal_failure_under_optimize(
+        "projective._min_encoding_conjugator = "
+        "lambda scaled, target: projective.Mat2.identity(scaled.spec)",
+        ["classify", "--p", "7", "--matrix", "1,2,2,6"],
+        "conjugation identity failed")
+
 def test_vector_outside_the_kernel_exits_one_under_optimize():
     # a nullspace that appends the constant 1 (logs [0, -1, ..., -1]) to the
     # true basis: the swap [[0,1],[1,0]] maps 1 to x^3, not to a multiple of
@@ -115,6 +125,18 @@ def test_cli_import_skips_typing_dataclasses_and_inspect():
     code = ("import sys\n"
             "import pgl2poly.cli\n"
             "print(sorted({'typing', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+def test_cli_import_skips_fractions_and_decimal():
+    # fractions (which loads decimal) serves only counting.asymptotic_ratio
+    code = ("import sys\n"
+            "import pgl2poly.cli\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     res = subprocess.run([sys.executable, "-S", "-c", code],

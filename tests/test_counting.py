@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
 from pgl2poly import counting
 from pgl2poly.numutil import divisors
 from pgl2poly.polynomials import pow_mod
-from pgl2poly.verify import inversion_consistency, type_representatives
+from pgl2poly.verify import type_representatives
 
 
 def test_arithmetic_function_values():
@@ -205,6 +206,27 @@ def test_asymptotic_ratio_examples(F2, F3):
     assert r5 < r7 < 1
     assert asymptotic_ratio(D1, 2) == 0
 
+
+def inversion_consistency(spec, c, max_m=4):
+    """Criterion-side factor counts against the generalized inversion of
+    L(t) = q^t + (-1)^(t+1), for the order-(q+1)-family element [[0,1],[c,1]]:
+    rows (m, j, expected, counted)."""
+    base = reduced_type4(spec, c)
+    D = ProjMat(base).order()
+    q = spec.order
+    results = []
+    for mm in range(1, max_m + 1):
+        if D * mm <= 2:
+            continue
+        expect = mobius_inversion(lambda d: principal_character(D, d),
+                                  lambda t: q**t + (1 if t % 2 else -1), mm)
+        assert expect % (D * mm) == 0, "inverted count must be divisible by D*m"
+        expect //= D * mm
+        for j in range(1, D):
+            if int_gcd(j, D) == 1:
+                got = count_factors_of_degree(F_poly(base**j, mm), D * mm)
+                results.append((mm, j, expect, got))
+    return results
 
 def test_inversion_consistency_type4_f2(F2):
     rows = inversion_consistency(F2, F2.one, max_m=4)
