@@ -23,9 +23,9 @@ from math import gcd as int_gcd
 
 from . import linalg
 from .fields import FieldSpec
-from .polynomials import (Poly, _add_logs, _form, _from_logs, _same, divrem,
-                          enumerate_monic_irreducibles, form_matrix,
-                          is_irreducible, monicize, pow_mod)
+from .polynomials import (Poly, _add_logs, _form, _frobenius, _from_logs,
+                          _same, divrem, enumerate_monic_irreducibles,
+                          form_matrix, is_irreducible, monicize)
 from .projective import ContractError, Mat2, ProjMat, lucas_order
 
 
@@ -95,7 +95,8 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     l in [1, D-1] prime to D; degree-2 inputs fall back to the direct test.
 
     F is never built: f divides F iff it divides F with x^(q^r) replaced by
-    its residue mod f, which steps through r = m, 2m, ... by y <- y^(q^m) mod f."""
+    its residue mod f, which the walk polynomials._frobenius gives at
+    r = m, 2m, ..., (D-1)m."""
     _check_actable(f)
     n = f.degree
     cls = ProjMat(m)
@@ -107,10 +108,9 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     if n % D:
         return False
     mm = n // D
-    y, step = Poly.x(m.spec), m.spec.order**mm
-    for ell in range(1, D):
-        y = pow_mod(y, step, f)                          # x^(q^(ell*m)) mod f
-        if int_gcd(ell, D) == 1 and not divrem(_criterion_at(m, y), f)[1]:
+    for ell, y in enumerate(_frobenius(f, range(mm, n, mm)), 1):
+        if (int_gcd(ell, D) == 1                    # y = x^(q^(ell*m)) mod f
+                and not divrem(_criterion_at(m, _from_logs(f.ring, y)), f)[1]):
             return True
     return False
 

@@ -41,7 +41,7 @@ def _parse_matrix(spec, text: str) -> Mat2:
     return Mat2.from_encodings(spec, [int(x) for x in parts])
 
 
-def _emit(payload: dict, fmt: str, tsv_rows=None):
+def _emit(payload: dict | list, fmt: str, tsv_rows=None):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -169,12 +169,9 @@ def cmd_verify(args) -> int:
     spec = make_field(args.p, args.s)
     suite = SUITES[args.suite]
     rows = suite(spec, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps([row._asdict() for row in rows], sort_keys=True))
-    else:
-        print("suite\tname\tpassed\tdetail")
-        for row in rows:
-            print(f"{row.suite}\t{row.name}\t{'pass' if row.passed else 'FAIL'}\t{row.detail}")
+    _emit([row._asdict() for row in rows], args.format,
+          [row._replace(passed="pass" if row.passed else "FAIL")._asdict()
+           for row in rows])
     return 0 if all(row.passed for row in rows) else 1
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
-from .polynomials import Poly, divides, gcd, pow_mod
+from .polynomials import Poly, _frobenius, _from_logs, divides, gcd
 from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
                          TypeInfo, classify, reduced_type4)
 from .action import F_poly, invariant_set
@@ -104,21 +104,20 @@ def count_factors_of_degree(F: Poly, k: int) -> int:
     """Distinct monic irreducible degree-k divisors of F, by distinct degree:
     x^(q^j) - x is the squarefree product of the monic irreducibles of degree
     dividing j, so deg gcd(x^(q^j) - x, F) = sum over d | j of d*c_d for the
-    counts c_d of distinct degree-d factors, squarefree F or not."""
+    counts c_d of distinct degree-d factors, squarefree F or not.  The walk
+    polynomials._frobenius gives x^(q^j) mod F at the divisors j of k."""
     if not F:
         raise ValueError("factor counting needs a nonzero polynomial")
     if k < 1:
         raise ValueError("factor degree must be >= 1")
     if F.degree < k:
         return 0
-    q = F.ring.order
     xpoly = Poly.x(F.ring)
     counts = {}                                # d -> c_d, for d | k
-    t, i = xpoly, 0                            # t = x^(q^i) mod F
-    for j in divisors(k):
-        t, i = pow_mod(t, q**(j - i), F), j
+    js = divisors(k)
+    for j, t in zip(js, _frobenius(F, js)):    # t = x^(q^j) mod F, as logs
         below = sum(d * c for d, c in counts.items() if j % d == 0)
-        counts[j] = (gcd(t - xpoly, F).degree - below) // j
+        counts[j] = (gcd(_from_logs(F.ring, t) - xpoly, F).degree - below) // j
     return counts[k]
 
 

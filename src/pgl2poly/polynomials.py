@@ -3,17 +3,18 @@
 Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
-.coeffs, homogenize); single field values are Felt (lc, coeff, evaluation,
-scale, monomial).  Arithmetic runs on log lists (log_g of each coefficient,
+.coeffs, homogenize); single field values are Felt (lc, evaluation, scale,
+monomial).  Arithmetic runs on log lists (log_g of each coefficient,
 -1 for zero) in three kernels: _mul_into (acc += a*b, b given by its
 nonzero terms), _add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and
 _rem_logs (division by -g/lc, taken once per divisor by _reducer).  Logs may
 pass q - 1 inside a kernel; _mul_into leaves them so, and _mul_logs (one
 product), _add_logs and _rem_logs return them reduced mod q - 1, trimmed.
 pow_mod, gcd and is_irreducible chain these and convert from and to
-encodings once per call.  homogenize (and act) is one Horner loop, _form, on
-term lists of u and v built once, with logs unreduced until its one result;
-form_matrix returns logs, the rows that linalg eliminates.
+encodings once per call; _frobenius walks x^(q^i) mod f by q-th powers on one
+reducer for Ben-Or, the factor counts and the criterion test.  homogenize (and
+act) is one Horner loop, _form, on term lists of u and v built once, with logs
+unreduced until its one result; form_matrix returns logs, the linalg rows.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class Poly:
 
     def __hash__(self):
         return hash((hash(self.ring), self.coeffs))
-
-    def coeff(self, i: int):
-        return self.ring.from_encoding(
-            self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
 
     def encode(self) -> int:
         """Integer encoding: sum of coefficient encodings in base q."""
@@ -401,6 +398,18 @@ def _pow_logs(ring, b: list, e: int, red: tuple) -> list:
         b = _rem_logs(ring, _mul_logs(ring, b, b), red)
 
 
+def _frobenius(f: Poly, steps) -> Iterator[list]:
+    # x^(q^i) mod f as a log list (not to be changed) at each i >= 1 of the
+    # ascending steps, every step of the walk a q-th power on one reducer
+    ring = f.ring
+    q, red = ring.order, _reducer(ring, _logs(f))
+    t, i = _rem_logs(ring, [-1, 0], red), 0
+    for j in steps:
+        while i < j:
+            t, i = _pow_logs(ring, t, q, red), i + 1
+        yield t
+
+
 def reciprocal(f: Poly) -> Poly:
     """x^deg(f) * f(1/x): the coefficient sequence reversed."""
     if not f:
@@ -413,7 +422,8 @@ def is_irreducible(f: Poly) -> bool:
     """Ben-Or test: f of degree n is irreducible iff gcd(x^(q^i) - x, f) = 1
     for i = 1..n/2 (i = 1 is the root test).  x^(q^i) - x is the product of
     the monic irreducibles of degree dividing i; a reducible f, squarefree or
-    not, has such a factor for some i <= n/2, and an irreducible f has none."""
+    not, has such a factor for some i <= n/2, and an irreducible f has none.
+    Past the root test and the n <= 3 shortcut, _frobenius walks i = 2..n/2."""
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")
@@ -424,10 +434,7 @@ def is_irreducible(f: Poly) -> bool:
     if n <= 3:
         return True
     ring, x = f.ring, [-1, 0]
-    red = _reducer(ring, _logs(f))
-    t = _pow_logs(ring, x, ring.order, red)    # x^q mod f
-    for _ in range(2, n // 2 + 1):
-        t = _pow_logs(ring, t, ring.order, red)          # x^(q^i) mod f
+    for t in _frobenius(f, range(2, n // 2 + 1)):          # x^(q^i) mod f
         t_minus_x = _add_logs(ring, list(t), x, ring.neg)
         if len(_gcd_logs(ring, _logs(f), t_minus_x)) > 1:   # a common factor
             return False

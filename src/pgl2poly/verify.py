@@ -208,8 +208,7 @@ def suite_counting(spec: FieldSpec, seed: int = 12345):
     for label, rep in type_representatives(spec):
         cls = ProjMat(rep)
         D = cls.order()
-        mm = 1
-        while D * mm <= max_n:
+        for mm in range(1, max_n // D + 1):
             n = D * mm
             if n > 2:
                 nf = count_invariants_formula(rep, n)
@@ -217,7 +216,6 @@ def suite_counting(spec: FieldSpec, seed: int = 12345):
                 nc = count_via_criterion(rep, mm)
                 rows.append(_row("counting", f"{label}-n{n}", nf == nb == nc,
                                  f"formula={nf} brute={nb} criterion={nc}"))
-            mm += 1
         off = [n for n in range(3, max_n + 1) if n % D]
         zeros_ok = all(count_invariants_bruteforce(cls, n) == 0 for n in off)
         if off:
@@ -279,15 +277,13 @@ def suite_generation(spec: FieldSpec, seed: int = 12345):
     for label, rep in type_representatives(spec):
         cls = ProjMat(rep)
         D = cls.order()
-        mm = 1
-        while D * mm <= max_n:
+        for mm in range(1, max_n // D + 1):
             n = D * mm
             if n > 2:
                 got = generate_invariants(rep, mm)
                 want = sorted(invariant_set(cls, n), key=lambda f: f.encode())
                 rows.append(_row("generation", f"{label}-n{n}", got == want,
                                  f"{len(got)} generated, {len(want)} brute"))
-            mm += 1
     return rows
 
 

@@ -11,7 +11,6 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
                       proj_act, reciprocal, reduced_type2, reduced_type3,
                       reduced_type4, star_act, subgroup_closure)
 from pgl2poly import action, polynomials, verify
-from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import type_representatives
 from test_polynomials import _naive_form
 
@@ -160,18 +159,21 @@ def test_criterion_matches_division_into_F(p, s):
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1)])
 def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
-    # y steps from x^(q^((l-1)m)) to x^(q^(lm)) mod f in one power, so a
-    # class of order D makes at most D - 1 of them
+    # y steps from x^(q^((l-1)m)) to x^(q^(lm)) mod f by m q-th powers of
+    # the Frobenius walk, so a class of order D makes at most (D - 1)*m,
+    # with m = 2 on these degree-2D inputs
     spec = make_field(p, s)
-    calls = []
-    monkeypatch.setattr(action, "pow_mod",
-                        lambda *args: calls.append(args) or pow_mod(*args))
+    exponents, pow_logs = [], polynomials._pow_logs
+    monkeypatch.setattr(polynomials, "_pow_logs", lambda ring, b, e, red:
+                        exponents.append(e) or pow_logs(ring, b, e, red))
     for _, rep in type_representatives(spec):
         D = ProjMat(rep).order()
         for f in enumerate_monic_irreducibles(spec, 2 * D)[:60]:
-            calls.clear()
-            assert criterion_invariant(rep, f) == is_invariant(ProjMat(rep), f)
-            assert len(calls) <= D - 1
+            want = is_invariant(ProjMat(rep), f)      # warms is_irreducible(f)
+            exponents.clear()
+            assert criterion_invariant(rep, f) == want
+            assert exponents == [spec.order] * len(exponents)
+            assert len(exponents) <= (D - 1) * 2
 
 
 @pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),

@@ -13,9 +13,8 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
                       make_field, mobius_inversion, moebius_mu,
                       principal_character, quadratic_factor_of_F,
                       reduced_type2, reduced_type3, reduced_type4)
-from pgl2poly import counting
+from pgl2poly import polynomials
 from pgl2poly.numutil import divisors
-from pgl2poly.polynomials import pow_mod
 from pgl2poly.verify import type_representatives
 
 
@@ -154,13 +153,16 @@ def test_count_factors_matches_trial_division(q):
 
 @pytest.mark.parametrize("k", [1, 4, 5, 6])
 def test_count_factors_takes_one_power_per_divisor(monkeypatch, F3, k):
-    # x^(q^j) mod F is needed only at the divisors j of k
-    calls = []
-    monkeypatch.setattr(counting, "pow_mod",
-                        lambda *args: calls.append(args) or pow_mod(*args))
+    # x^(q^j) mod F at the divisors j of k comes from one Frobenius walk of
+    # k steps, each a q-th power: a single power to q^(j - i) between
+    # divisors would square on the bits of q^(j - i)
     F = F_poly(reduced_type4(F3, F3.from_encoding(2)), 2)          # degree 10
-    assert count_factors_of_degree(F, k) == count_factors_by_trial_division(F, k)
-    assert len(calls) == len(divisors(k))
+    want = count_factors_by_trial_division(F, k)
+    exponents, pow_logs = [], polynomials._pow_logs
+    monkeypatch.setattr(polynomials, "_pow_logs", lambda ring, b, e, red:
+                        exponents.append(e) or pow_logs(ring, b, e, red))
+    assert count_factors_of_degree(F, k) == want
+    assert exponents == [3] * k
 
 
 def test_count_via_criterion_examples(F2, F3, F5):

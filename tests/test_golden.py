@@ -4,8 +4,10 @@
 produced: classify, qmap, invariants --check and count for every type
 representative of q in {2, 3, 4, 5, 7, 9} plus one non-reduced conjugate
 per field, every verify suite on GF(2), and the sampled action-laws and
-sigma suites on GF(3), GF(4) and GF(5) with seed 7.  Refactors must keep
-them.
+sigma suites on GF(3), GF(4) and GF(5) with seed 7, all as JSON; and one
+--format tsv case per command: classify, qmap, invariants --check and count
+--method all for the type-4 representative over GF(3), and verify --suite
+sigma on GF(2).  Refactors must keep them.
 """
 
 import contextlib

@@ -7,6 +7,7 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
                       is_irreducible, make_field, monic_polys, monicize,
                       pow_mod, reciprocal, to_text)
 from pgl2poly import action, polynomials
+from pgl2poly.numutil import divisors
 from pgl2poly.projective import all_classes
 
 
@@ -97,6 +98,30 @@ def test_pow_mod_matches_plain_power(F3):
 def test_pow_mod_rejects_negative_exponent(F3):
     with pytest.raises(ValueError):
         pow_mod(Poly.x(F3), -1, Poly.of(F3, 1, 0, 1))
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_frobenius_walk_matches_pow_mod(p, s):
+    # the walk against pow_mod(x, q^i, f) for f of degree 1..8, monic or
+    # not, some with a squared factor, at consecutive steps, at the divisors
+    # of 12 (steps with gaps) and at no step at all
+    ring = make_field(p, s)
+    q, x = ring.order, Poly.x(ring)
+    rng = random.Random(q * 10 + s)
+
+    def rand(deg, monic):
+        return Poly(ring, [rng.randrange(q) for _ in range(deg)]
+                    + [1 if monic else rng.randrange(1, q)])
+    for trial in range(24):
+        n, monic = trial % 8 + 1, trial % 2 == 0
+        if trial % 3 == 2 and n >= 2:                   # a squared factor
+            h = rand(n // 2, True)
+            f = h * h * rand(n % 2, monic)
+        else:
+            f = rand(n, monic)
+        for steps in (range(1, 9), divisors(12), ()):
+            walk = polynomials._frobenius(f, steps)
+            assert ([polynomials._from_logs(ring, t) for t in walk]
+                    == [pow_mod(x, q**i, f) for i in steps])
 
 
 def _naive_form(coeffs, u, v, k):
