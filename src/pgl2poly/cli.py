@@ -94,6 +94,15 @@ def cmd_qmap(args) -> int:
     return 0
 
 
+def _checked_invariant(cls, f) -> bool:
+    # is_invariant refuses, with ValueError, a polynomial outside the domain
+    # of the class action (reducible, say): such an output is not invariant
+    try:
+        return is_invariant(cls, f)
+    except ValueError:
+        return False
+
+
 def cmd_invariants(args) -> int:
     spec = make_field(args.p, args.s)
     m = _parse_matrix(spec, args.matrix)
@@ -106,7 +115,7 @@ def cmd_invariants(args) -> int:
     polys = generate_invariants(m, args.m)
     checked = None
     if args.check:
-        checked = all(is_invariant(cls, f) for f in polys)
+        checked = all(_checked_invariant(cls, f) for f in polys)
     payload = {
         "field": spec.describe(),
         "matrix": _matrix_payload(m),

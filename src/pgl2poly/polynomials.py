@@ -13,8 +13,9 @@ product), _add_logs and _rem_logs return them reduced mod q - 1, trimmed.
 pow_mod, gcd and is_irreducible chain these and convert from and to
 encodings once per call; _frobenius walks x^(q^i) mod f by q-th powers on one
 reducer for Ben-Or, the factor counts and the criterion test.  homogenize (and
-act) is one Horner loop, _form, on term lists of u and v built once, with logs
-unreduced until its one result; form_matrix returns logs, the linalg rows.
+act, and rational's transforms) is one Horner loop, _form, on term lists of u
+and v built once, with logs unreduced until its one result; form_matrix
+returns logs, the linalg rows.
 """
 
 from __future__ import annotations

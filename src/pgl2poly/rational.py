@@ -7,17 +7,33 @@ den^m * F(num/den) with F of degree m.  The map is assembled per type from
 the two linear forms of the conjugator; type 4 additionally builds a pair
 of polynomials whose coefficients are the order's own sequence: the
 Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
+
+Which F give an irreducible transform is decided from F alone, with no
+irreducibility test on the degree-D*m result.  Q is the reduced map Q_red
+after a Moebius change, which keeps irreducibility, and by Capelli's lemma
+the transform is irreducible of degree D*m exactly when num_red - a*den_red
+is irreducible of degree D over GF(q^m) = GF(q)(a), for a a root of F.
+A norm takes the test down to GF(q) or GF(q^2):
+  type 1, x^D with D | q-1: F(0) != 0 and N(a) = (-1)^m F(0) is no r-th
+    power for any prime r | D, that is gcd(log N(a), D) = 1 (Cohen 1969;
+    Lidl-Niederreiter, Finite Fields, Thm 3.35 on F(x^D));
+  type 2, x^p - x: Tr_{GF(q)/GF(p)}(-f_(m-1)) != 0, since Tr_{q^m/q}(a) =
+    -f_(m-1) (Lidl-Niederreiter Thm 3.78);
+  type 3, x + b/x: v^2 - 4b*u^2 is a non-square for F mod (x^2 - 4b) =
+    u*x + v, being the norm of the discriminant a^2 - 4b;
+  type 4, D | q+1: F(t) != 0 and F(t) is no r-th power in GF(q^2) for any
+    prime r | D, for t a root of x^2 - x - c, the class's eigenvalue.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from math import comb, gcd as int_gcd
 
 from . import linalg
-from .polynomials import (Poly, _from_logs, _logs, divrem,
-                          enumerate_monic_irreducibles, form_matrix, gcd,
-                          homogenize, is_irreducible, monicize)
+from .polynomials import (Poly, _form, _from_logs, _logs, _reducer, _rem_logs,
+                          _same, divrem, enumerate_monic_irreducibles,
+                          form_matrix, gcd, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, lucas, reduce)
 from .action import _linear_forms, act
@@ -105,16 +121,87 @@ def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
     """Q((ax+c)/(bx+d)) as the pair of degree-Q.degree forms in (ax+c, bx+d),
     not reduced: compare it with Q by cross-multiplying, or normalize both."""
     n = Q.degree
-    u, v = _linear_forms(m)
-    return RationalMap(homogenize(Q.num.coeffs, u, v, n),
-                       homogenize(Q.den.coeffs, u, v, n), n)
+    _same(m.spec, Q.num.ring)
+    if n < max(Q.num.degree, Q.den.degree):
+        raise ValueError(f"map degree {n} is below the degree of its num or den")
+    lu, lv = map(_logs, _linear_forms(m))
+    return RationalMap(_form(m.spec, Q.num.coeffs, lu, lv, n),
+                       _form(m.spec, Q.den.coeffs, lu, lv, n), n)
 
 
 def transform(F: Poly, Q: RationalMap) -> Poly:
     """den^m * F(num/den) for m = deg F; linear in F and not monicized."""
     if not F:
         raise ValueError("transform of the zero polynomial")
-    return homogenize(F.coeffs, Q.num, Q.den, F.degree)
+    _same(F.ring, Q.num.ring)
+    return _form(F.ring, F.coeffs, _logs(Q.num), _logs(Q.den), F.degree)
+
+
+def _by_ratio(spec, c0, c1, test):
+    # F -> test(y) for F = u*x + v mod x^2 + c1*x + c0 and y = v/u, or False
+    # when u = 0; test sees y's encoding, once per y in one call
+    log, exp, m = spec.log, spec.exp, spec.order - 1
+    red = _reducer(spec, [log[c0.n], log[c1.n], 0])
+    memo = {}
+
+    def passes(F):
+        lv, lu = (_rem_logs(spec, _logs(F), red) + [-1, -1])[:2]
+        if lu < 0:
+            return False
+        y = exp[(lv - lu) % m] if lv >= 0 else 0
+        if y not in memo:
+            memo[y] = test(y)
+        return memo[y]
+    return passes
+
+
+def _criterion(rf: ReducedForm, D: int, mdeg: int):
+    """The test, on a monic irreducible F of degree mdeg, for transform(F, Q)
+    to be irreducible of degree D*mdeg, Q being the map of the class that rf
+    reduces; the module docstring gives the four cases and their sources.
+
+    Types 1 and 4 read their power test as a coprimality.  For type 1, D
+    divides q - 1, so N is an r-th power exactly when r divides log N.  For
+    type 4, F(t)^((q^2-1)/D) is a D-th root of unity, the power j of
+    zeta = t^(q-1) = T/t, which has order D because t^j = T^j exactly when
+    the j-th power of the class is scalar; F(t) is an r-th power exactly
+    when r divides j.  The index of each power of zeta is listed once.
+
+    Types 3 and 4 write F = u*x + v mod their quadratic, and then only
+    y = v/u matters: the norm v^2 - 4b*u^2 is u^2 (y^2 - 4b), and F(t) =
+    u*(t + y) with u^(q-1) = 1.  When u = 0 the norm v^2 is a square, and
+    F(t) = v lies in GF(q), where every element is a (q+1)-th power."""
+    spec, kind = rf.reduced.spec, rf.info.kind
+    log = spec.log
+    if kind == TYPE1:
+        k0 = mdeg * spec.neg                               # log (-1)^m
+        return lambda F: F.coeffs[0] and int_gcd(log[F.coeffs[0]] + k0, D) == 1
+    if kind == TYPE2:
+        powers = [spec.p**i for i in range(spec.s)]
+
+        def nonzero_trace(F):                              # of f_(m-1) over GF(p)
+            c = spec.from_encoding(F.coeffs[-2])
+            return bool(sum((c ** e for e in powers), spec.zero))
+        return nonzero_trace
+    if kind == TYPE3:
+        four_b = rf.info.param * spec.from_encoding(4 % spec.p)
+
+        def nonsquare(y):                                  # y^2 - 4b
+            n = (spec.from_encoding(y) ** 2 - four_b).n
+            return n > 0 and log[n] % 2 == 1
+        return _by_ratio(spec, -four_b, spec.zero, nonsquare)
+    t = rf.eigenvalue
+    ext, e = t.ext, (spec.order + 1) // D
+    zeta, index = t.conjugate() / t, {}
+    z = ext.one
+    for j in range(D):
+        index[z.encode()] = j
+        z = z * zeta
+
+    def coprime_power(y):                                  # of t + y
+        z = t + ext.from_encoding(y)
+        return int_gcd(index[((z.conjugate() / z) ** e).encode()], D) == 1
+    return _by_ratio(spec, -rf.info.param, -spec.one, coprime_power)
 
 
 def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
@@ -123,22 +210,25 @@ def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
 
     Reducible F need no scan.  transform is multiplicative: F = F1*F2 gives
     t = t1*t2, and deg t_i <= D*deg F_i.  So deg t = D*mdeg forces every
-    deg t_i = D*deg F_i >= 2, and t is reducible.  A factor whose image
-    drops in degree (a constant image, say) only lowers deg t, and the
-    degree check below drops that t as well."""
-    Q = q_map(m).map
+    deg t_i = D*deg F_i >= 2, and t is reducible.  Of the irreducible F,
+    only those that pass the test of their type (_criterion: a power
+    residue of the norm of a root for types 1 and 4, a trace for type 2, a
+    quadratic character for type 3) are transformed, and each of those
+    transforms is irreducible of degree D*mdeg; distinct monic F give
+    distinct transforms, so no set is needed."""
+    Q, rf = q_map(m)
     D = Q.degree
     if D * mdeg <= 2:
         raise ValueError("generation requires D*m > 2")
-    found = set()
+    passes = _criterion(rf, D, mdeg)
+    found = []
     for F in enumerate_monic_irreducibles(m.spec, mdeg):
-        t = transform(F, Q)
-        if not t:
-            raise ContractError("transform of a nonzero polynomial vanished")
-        t = monicize(t)[1]
-        if t.degree == D * mdeg and is_irreducible(t):
-            found.add(t)
-    return sorted(found, key=lambda f: f.encode())
+        if passes(F):
+            t = transform(F, Q)
+            if t.degree != D * mdeg:
+                raise ContractError("a transform that passed the criterion lost degree")
+            found.append(monicize(t)[1])
+    return sorted(found, key=Poly.encode)
 
 
 def decompose(f: Poly, Q: RationalMap) -> Poly:

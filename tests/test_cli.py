@@ -28,10 +28,8 @@ def test_classify_rejects_singular_matrix():
     res = run_cli("classify", "--p", "3", "--s", "1", "--matrix", "1,1,1,1")
     assert res.returncode == 2
 
-def _assert_internal_failure_under_optimize(patch, argv, message=""):
-    # run main(argv) under python -O after the patch line; the internal
-    # check must still fire: exit 1, an error line (naming the check when
-    # message is given), no traceback
+def _run_under_optimize(patch, argv):
+    # main(argv) in a python -O process, after the patch line
     code = ("import sys\n"
             "import pgl2poly.projective as projective\n"
             "import pgl2poly.rational as rational\n"
@@ -40,8 +38,13 @@ def _assert_internal_failure_under_optimize(patch, argv, message=""):
             f"sys.exit(main({argv!r}))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run([sys.executable, "-O", "-c", code],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+
+def _assert_internal_failure_under_optimize(patch, argv, message=""):
+    # the internal check must still fire under python -O: exit 1, an error
+    # line (naming the check when message is given), no traceback
+    res = _run_under_optimize(patch, argv)
     assert res.returncode == 1
     assert res.stderr.startswith(f"error: internal check failed: {message}".rstrip())
     assert "Traceback" not in res.stderr
@@ -105,6 +108,18 @@ def test_vector_outside_the_kernel_exits_one_under_optimize():
         "_kernel(spec, rows) + [[0] + [-1] * (len(rows[0]) - 1)]",
         ["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "3",
          "--method", "brute"])
+
+def test_check_reports_a_reducible_output_under_optimize():
+    # a criterion that passes every F makes generation return all 40
+    # transforms of the irreducible cubics, half of them reducible; --check
+    # must report them as not invariant (exit 1, "checked": false), not
+    # refuse them as invalid input (exit 2)
+    res = _run_under_optimize(
+        "rational._criterion = lambda rf, D, mdeg: lambda F: True",
+        ["invariants", "--p", "5", "--matrix", "2,0,0,1", "--m", "3", "--check"])
+    assert res.returncode == 1 and res.stderr == ""
+    out = json.loads(res.stdout)
+    assert out["checked"] is False and out["count"] == 40
 
 def test_src_has_no_assert():
     # the checks above hold under python -O only because every internal

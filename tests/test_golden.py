@@ -7,7 +7,11 @@ per field, every verify suite on GF(2), and the sampled action-laws and
 sigma suites on GF(3), GF(4) and GF(5) with seed 7, all as JSON; and one
 --format tsv case per command: classify, qmap, invariants --check and count
 --method all for the type-4 representative over GF(3), and verify --suite
-sigma on GF(2).  Refactors must keep them.
+sigma on GF(2); and six invariants cases recorded before generation read
+the irreducibility criteria: --check on type 1 with D = 4 and m = 3 over
+GF(5), type 4 with D = 8 over GF(7), type 2 over GF(9), the hidden conjugates
+[4,2,1,1] over GF(5) and [6,6,2,3] over GF(9), and the GF(7) type-4 case
+again without --check.  Refactors must keep them.
 """
 
 import contextlib

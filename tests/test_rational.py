@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from pgl2poly import (TYPE4, ContractError, Mat2, Poly, ProjMat, RationalMap,
-                      act, classify, decompose, element_of_order,
-                      enumerate_monic_irreducibles, frobenius_q,
-                      generate_invariants, invariant_set, is_invariant,
-                      make_field, monicize, q_map, reduce, reduced_type1,
-                      reduced_type2, reduced_type3, reduced_type4,
-                      substitute_mobius, transform, try_descend)
-from pgl2poly import rational
+from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
+                      ProjMat, RationalMap, act, classify, decompose,
+                      element_of_order, enumerate_monic_irreducibles,
+                      frobenius_q, generate_invariants, invariant_set,
+                      is_invariant, is_irreducible, make_field, monicize,
+                      q_map, reduce, reduced_type1, reduced_type2,
+                      reduced_type3, reduced_type4, substitute_mobius,
+                      transform, try_descend)
+from pgl2poly import polynomials, rational
 from pgl2poly.rational import _type4_reduced_pair
+from pgl2poly.verify import _random_matrix
 
 
 def test_q_map_worked_example_q3(F3):
@@ -74,6 +76,13 @@ def test_substitute_power_map_fixed_by_scaling(F5):
     a = F5.from_encoding(2)
     Q = RationalMap(Poly.monomial(F5, F5.one, 4), Poly.one(F5), 4)
     assert substitute_mobius(Q, reduced_type1(F5, a)) == Q
+
+@pytest.mark.parametrize("num,den", [((0, 0, 1), (1,)), ((1,), (0, 0, 1))])
+def test_substitute_rejects_a_degree_below_num_or_den(F5, num, den):
+    # a map of stated degree 1 whose num (or den) is x^2: no form of degree 1
+    Q = RationalMap(Poly.of(F5, *num), Poly.of(F5, *den), 1)
+    with pytest.raises(ValueError, match="below"):
+        substitute_mobius(Q, reduced_type2(F5))
 
 def test_fixed_point_identity_for_random_classes(F5):
     rng = random.Random(13)
@@ -138,6 +147,99 @@ def test_generate_invariants_f3_type3_quartics(F3):
 def test_generate_invariants_rejects_small_degree(F2):
     with pytest.raises(ValueError):
         generate_invariants(reduced_type2(F2), 1)      # D*m = 2
+
+
+# -- the four criteria against the generator they replace -------------------
+
+def _reference_generate(m, mdeg):
+    # the generator before the criteria: transform every monic irreducible F
+    # of degree mdeg and keep the monic transforms of degree D*mdeg that pass
+    # Ben-Or; returns them sorted, and whether each F was kept
+    Q = q_map(m).map
+    D = Q.degree
+    found, kept = set(), {}
+    for F in enumerate_monic_irreducibles(m.spec, mdeg):
+        t = monicize(transform(F, Q))[1]
+        kept[F] = t.degree == D * mdeg and is_irreducible(t)
+        if kept[F]:
+            found.add(t)
+    return sorted(found, key=Poly.encode), kept
+
+def _reduced_forms(spec):
+    # every reduced matrix: diag(a, 1), the unipotent, [[0,1],[b,0]] for a
+    # non-square b and [[0,1],[c,1]] for x^2 - x - c irreducible
+    out = [reduced_type1(spec, a) for a in spec.elements() if a and a != spec.one]
+    out.append(reduced_type2(spec))
+    for kind, build in ((TYPE3, reduced_type3), (TYPE4, reduced_type4)):
+        out += [build(spec, x) for x in spec.elements()
+                if x and classify(build(spec, x)).kind == kind]
+    return out
+
+# the bench's generation limits on D*m, with GF(8) and GF(11) added and GF(5)
+# raised to 8 so that type 1 with 4 | D meets an even m
+GRID_MAX_DEGREE = {(2, 1): 12, (3, 1): 9, (2, 2): 6, (5, 1): 8, (7, 1): 5,
+                   (2, 3): 6, (3, 2): 5, (11, 1): 4}
+
+def test_criteria_match_the_reference_generator():
+    # every reduced form and one seeded hidden conjugate of each, over
+    # GF(2, 3, 4, 5, 7, 8, 9, 11), each m with D*m > 2 up to the limit (and
+    # m = 1 when D alone passes it)
+    rng = random.Random(19)
+    outcomes, shapes, lost = set(), set(), 0
+    for (p, s), n_max in GRID_MAX_DEGREE.items():
+        spec = make_field(p, s)
+        for R in _reduced_forms(spec):
+            P = _random_matrix(spec, rng)
+            for M in (R, P * R * P.inverse()):
+                Q, rf = q_map(M)
+                D, kind = Q.degree, rf.info.kind
+                for m in range(1, max(n_max // D, 1) + 1):
+                    if D * m <= 2:
+                        continue
+                    want, kept = _reference_generate(M, m)
+                    assert generate_invariants(M, m) == want, (M, m)
+                    passes = rational._criterion(rf, D, m)
+                    for F, ok in kept.items():
+                        assert bool(passes(F)) == ok, (M, m, F)
+                        outcomes.add((kind, s > 1, ok))
+                    shapes.add((kind, D % 4 == 0, m % 2))
+                    lost += m == 1 and any(transform(F, Q).degree < D for F in kept)
+    for kind in (TYPE1, TYPE2, TYPE3, TYPE4):            # both outcomes of each
+        assert {(kind, False, True), (kind, False, False)} <= outcomes
+    assert {(TYPE2, True, True), (TYPE2, True, False)} <= outcomes   # trace to GF(p)
+    assert {(kind, True, parity) for kind in (TYPE1, TYPE4)
+            for parity in (0, 1)} <= shapes                 # 4 | D, both parities
+    assert lost                                           # m = 1 degree drops
+
+
+PIN_CASES = [((5, 1), (2, 0, 0, 1), 3), ((7, 1), (0, 1, 4, 1), 2),
+             ((3, 2), (1, 0, 1, 1), 3), ((5, 1), (4, 2, 1, 1), 3),
+             ((3, 2), (6, 6, 2, 3), 2)]
+
+@pytest.mark.parametrize("field,entries,mdeg", PIN_CASES)
+def test_generation_transforms_only_the_invariants(monkeypatch, field, entries, mdeg):
+    # no Ben-Or at all, and one transform per output
+    M = Mat2.from_encodings(make_field(*field), entries)
+    enumerate_monic_irreducibles(M.spec, mdeg)    # cached first: its Ben-Or is not generation's
+    calls = []
+    for module in (polynomials, rational):
+        monkeypatch.setattr(module, "is_irreducible",
+                            lambda f: calls.append("is_irreducible") or True,
+                            raising=False)
+    monkeypatch.setattr(rational, "transform", lambda F, Q, _f=transform:
+                        calls.append("transform") or _f(F, Q))
+    got = generate_invariants(M, mdeg)
+    assert got and calls.count("is_irreducible") == 0
+    assert calls.count("transform") == len(got)
+
+def test_a_transform_that_loses_degree_is_a_contract_error(monkeypatch, F5):
+    # with every F let through: the transform of x by the map of a hidden
+    # type-2 conjugate has degree 4, not D = 5
+    M = Mat2.from_encodings(F5, (2, 1, 1, 1))
+    assert transform(Poly.x(F5), q_map(M).map).degree == 4
+    monkeypatch.setattr(rational, "_criterion", lambda rf, D, mdeg: lambda F: True)
+    with pytest.raises(ContractError, match="lost degree"):
+        generate_invariants(M, 1)
 
 
 def test_decompose_example(F2):
