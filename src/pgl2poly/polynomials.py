@@ -12,7 +12,12 @@ pass q - 1 inside a kernel; _mul_into leaves them so, and _mul_logs (one
 product), _add_logs and _rem_logs return them reduced mod q - 1, trimmed.
 pow_mod, gcd and is_irreducible chain these and convert from and to
 encodings once per call; _frobenius walks x^(q^i) mod f by q-th powers on one
-reducer for Ben-Or, the factor counts and the criterion test.  homogenize (and
+reducer for Ben-Or, the factor counts and the criterion test.  In
+characteristic p the p-th power is linear, (sum a_i x^i)^p = sum a_i^p x^(ip),
+so a step can be s spreads of the logs and s remainders with no product
+(_frobenius_step).  The walk takes it when its term count is at most that of
+square-and-multiply (_pow_logs): always for p <= 7 and for the sparse
+criterion polynomials, for dense f past p = 11 only at low degree.  homogenize (and
 act, and rational's transforms) is one Horner loop, _form, on term lists of u
 and v built once, with logs unreduced until its one result; form_matrix
 returns logs, the linalg rows.
@@ -399,15 +404,34 @@ def _pow_logs(ring, b: list, e: int, red: tuple) -> list:
         b = _rem_logs(ring, _mul_logs(ring, b, b), red)
 
 
+def _frobenius_step(ring, t: list, red: tuple) -> list:
+    # t^q mod the reducer's g, for t of lower degree, by s p-th powers: in
+    # characteristic p, (sum a_i x^i)^p = sum a_i^p x^(ip), so each is a
+    # spread of the logs to every p-th index and one remainder, no product
+    p, m = ring.p, ring.order - 1
+    for _ in range(ring.s):
+        r = [-1] * (p * len(t) - p + 1)            # [] for t = []
+        r[::p] = [p * x % m if x >= 0 else -1 for x in t]
+        t = _rem_logs(ring, r, red)
+    return t
+
+
 def _frobenius(f: Poly, steps) -> Iterator[list]:
     # x^(q^i) mod f as a log list (not to be changed) at each i >= 1 of the
-    # ascending steps, every step of the walk a q-th power on one reducer
+    # ascending steps, every step of the walk a q-th power on one reducer:
+    # the spread step when its s(p-1)(n-1)w term operations, for n = deg f
+    # and w terms below the top, are at most _pow_logs's (its bit_length(q)
+    # + popcount(q) - 2 products, each n^2 plus a remainder of (n-1)w)
     ring = f.ring
     q, red = ring.order, _reducer(ring, _logs(f))
+    n, w = red[0], len(red[2])
+    spread = (ring.s * (ring.p - 1) * (n - 1) * w
+              <= (q.bit_length() + q.bit_count() - 2) * (n * n + (n - 1) * w))
     t, i = _rem_logs(ring, [-1, 0], red), 0
     for j in steps:
         while i < j:
-            t, i = _pow_logs(ring, t, q, red), i + 1
+            t = _frobenius_step(ring, t, red) if spread else _pow_logs(ring, t, q, red)
+            i += 1
         yield t
 
 
@@ -424,7 +448,9 @@ def is_irreducible(f: Poly) -> bool:
     for i = 1..n/2 (i = 1 is the root test).  x^(q^i) - x is the product of
     the monic irreducibles of degree dividing i; a reducible f, squarefree or
     not, has such a factor for some i <= n/2, and an irreducible f has none.
-    Past the root test and the n <= 3 shortcut, _frobenius walks i = 2..n/2."""
+    Past the root test and the n <= 3 shortcut, _frobenius walks i = 2..n/2;
+    for p <= 7 each step is a spread of the logs and a remainder, so the
+    test makes no product, only remainders and gcds."""
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")

@@ -12,6 +12,7 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
                       reduced_type4, star_act, subgroup_closure)
 from pgl2poly import action, polynomials, verify
 from pgl2poly.verify import type_representatives
+from test_counting import _count_walk_steps
 from test_polynomials import _naive_form
 
 
@@ -161,19 +162,39 @@ def test_criterion_matches_division_into_F(p, s):
 def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
     # y steps from x^(q^((l-1)m)) to x^(q^(lm)) mod f by m q-th powers of
     # the Frobenius walk, so a class of order D makes at most (D - 1)*m,
-    # with m = 2 on these degree-2D inputs
+    # with m = 2 on these degree-2D inputs, and at least m.  Over GF(2) and
+    # GF(3) each step is the spread step, with no product
     spec = make_field(p, s)
-    exponents, pow_logs = [], polynomials._pow_logs
-    monkeypatch.setattr(polynomials, "_pow_logs", lambda ring, b, e, red:
-                        exponents.append(e) or pow_logs(ring, b, e, red))
+    steps = _count_walk_steps(monkeypatch)
     for _, rep in type_representatives(spec):
         D = ProjMat(rep).order()
         for f in enumerate_monic_irreducibles(spec, 2 * D)[:60]:
             want = is_invariant(ProjMat(rep), f)      # warms is_irreducible(f)
-            exponents.clear()
+            steps.clear()
             assert criterion_invariant(rep, f) == want
-            assert exponents == [spec.order] * len(exponents)
-            assert len(exponents) <= (D - 1) * 2
+            assert steps == ["spread"] * len(steps)
+            assert 2 <= len(steps) <= (D - 1) * 2
+
+
+def test_criterion_takes_pow_logs_steps_over_large_p(monkeypatch):
+    # over GF(101) a dense f of degree 4 keeps the square-and-multiply step:
+    # the spread step's remainder of a degree-303 spread costs more.  The
+    # class x -> -x has order 2, so the walk makes m = 2 steps
+    spec = make_field(101, 1)
+    rep = Mat2.from_encodings(spec, (100, 0, 0, 1))
+    rng = random.Random(101)
+    cases = [Poly(spec, [rng.randrange(101) for _ in range(4)] + [1])
+             for _ in range(40)]
+    cases += [Poly(spec, (c, 0, b, 0, 1)) for b in range(3) for c in range(1, 30)]
+    cases = [f for f in cases if polynomials.is_irreducible(f)]
+    assert any(is_invariant(ProjMat(rep), f) for f in cases)
+    assert not all(is_invariant(ProjMat(rep), f) for f in cases)
+    steps = _count_walk_steps(monkeypatch)
+    for f in cases:
+        want = is_invariant(ProjMat(rep), f)
+        steps.clear()
+        assert criterion_invariant(rep, f) == want
+        assert steps == [101, 101]
 
 
 @pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),

@@ -151,18 +151,28 @@ def test_count_factors_matches_trial_division(q):
             assert count_factors_of_degree(F, k) == count_factors_by_trial_division(F, k)
 
 
+def _count_walk_steps(monkeypatch):
+    # the q-th power steps of the Frobenius walk, by kind: "spread" for
+    # polynomials._frobenius_step, the exponent for polynomials._pow_logs
+    steps, spread, pow_logs = [], polynomials._frobenius_step, polynomials._pow_logs
+    monkeypatch.setattr(polynomials, "_frobenius_step", lambda ring, t, red:
+                        steps.append("spread") or spread(ring, t, red))
+    monkeypatch.setattr(polynomials, "_pow_logs", lambda ring, b, e, red:
+                        steps.append(e) or pow_logs(ring, b, e, red))
+    return steps
+
+
 @pytest.mark.parametrize("k", [1, 4, 5, 6])
 def test_count_factors_takes_one_power_per_divisor(monkeypatch, F3, k):
     # x^(q^j) mod F at the divisors j of k comes from one Frobenius walk of
     # k steps, each a q-th power: a single power to q^(j - i) between
-    # divisors would square on the bits of q^(j - i)
+    # divisors would square on the bits of q^(j - i).  Over GF(3) each step
+    # is the spread step, with no product
     F = F_poly(reduced_type4(F3, F3.from_encoding(2)), 2)          # degree 10
     want = count_factors_by_trial_division(F, k)
-    exponents, pow_logs = [], polynomials._pow_logs
-    monkeypatch.setattr(polynomials, "_pow_logs", lambda ring, b, e, red:
-                        exponents.append(e) or pow_logs(ring, b, e, red))
+    steps = _count_walk_steps(monkeypatch)
     assert count_factors_of_degree(F, k) == want
-    assert exponents == [3] * k
+    assert steps == ["spread"] * k
 
 
 def test_count_via_criterion_examples(F2, F3, F5):

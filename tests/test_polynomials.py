@@ -9,6 +9,7 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
 from pgl2poly import action, polynomials
 from pgl2poly.numutil import divisors
 from pgl2poly.projective import all_classes
+from pgl2poly.verify import type_representatives
 
 
 def _mu(n):
@@ -99,11 +100,16 @@ def test_pow_mod_rejects_negative_exponent(F3):
     with pytest.raises(ValueError):
         pow_mod(Poly.x(F3), -1, Poly.of(F3, 1, 0, 1))
 
-@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
+                                  (11, 1), (13, 1), (31, 1), (101, 1), (2, 3),
+                                  (5, 2), (3, 3)])
 def test_frobenius_walk_matches_pow_mod(p, s):
     # the walk against pow_mod(x, q^i, f) for f of degree 1..8, monic or
     # not, some with a squared factor, at consecutive steps, at the divisors
-    # of 12 (steps with gaps) and at no step at all
+    # of 12 (steps with gaps) and at no step at all; then on the sparse
+    # criterion polynomials of degree q + 1 (and q^2 + 1 for q <= 7).  Small
+    # p takes the spread step, large p _pow_logs on dense f and the spread
+    # step on the sparse ones
     ring = make_field(p, s)
     q, x = ring.order, Poly.x(ring)
     rng = random.Random(q * 10 + s)
@@ -122,6 +128,50 @@ def test_frobenius_walk_matches_pow_mod(p, s):
             walk = polynomials._frobenius(f, steps)
             assert ([polynomials._from_logs(ring, t) for t in walk]
                     == [pow_mod(x, q**i, f) for i in steps])
+    for _, rep in type_representatives(ring):
+        for r in (1, 2) if q <= 7 else (1,):
+            F = action.F_poly(rep, r)
+            walk = polynomials._frobenius(F, range(1, 4))
+            assert ([polynomials._from_logs(ring, t) for t in walk]
+                    == [pow_mod(x, q**i, F) for i in range(1, 4)])
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (11, 1),
+                                  (13, 1), (101, 1), (2, 3), (5, 2)])
+def test_frobenius_step_matches_pow_logs(p, s):
+    # the spread step against the square-and-multiply q-th power, whichever
+    # of them the walk would choose, for t = 0, x and random t below deg f
+    ring = make_field(p, s)
+    q = ring.order
+    rng = random.Random(q * 10 + s)
+    for n in (1, 2, 12, 24):
+        f = Poly(ring, [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)])
+        red = polynomials._reducer(ring, polynomials._logs(f))
+        cases = [[], polynomials._rem_logs(ring, [-1, 0], red)]
+        for _ in range(4):
+            cases.append(polynomials._logs(Poly(ring, [rng.randrange(q)
+                                                       for _ in range(n)])))
+        for t in cases:
+            want = polynomials._pow_logs(ring, t, q, red)
+            assert polynomials._frobenius_step(ring, t, red) == want
+
+
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2)])
+def test_ben_or_makes_no_product(monkeypatch, p, s):
+    # on the spread step an irreducible of degree 12 costs remainders and
+    # gcds only: no step of the walk multiplies
+    ring = make_field(p, s)
+    q, rng = ring.order, random.Random(ring.order)
+    while True:
+        f = Poly(ring, [rng.randrange(q) for _ in range(12)] + [1])
+        if is_irreducible(f):
+            break
+    is_irreducible.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("Ben-Or took a product")
+    monkeypatch.setattr(polynomials, "_mul_logs", refuse)
+    assert is_irreducible(f)
 
 
 def _naive_form(coeffs, u, v, k):
