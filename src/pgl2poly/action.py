@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd as int_gcd
 
 from . import linalg
-from .fields import FieldSpec
+from .fields import MAX_ORDER, FieldSpec
 from .polynomials import (Poly, _add_logs, _form, _frobenius, _from_logs,
                           _same, divrem, enumerate_monic_irreducibles,
                           form_matrix, is_irreducible, monicize)
@@ -82,10 +82,14 @@ def _criterion_at(m: Mat2, y: Poly) -> Poly:
 
 
 def F_poly(m: Mat2, r: int) -> Poly:
-    """The criterion polynomial b*x^(q^r+1) - a*x^(q^r) + d*x - c."""
+    """The criterion polynomial b*x^(q^r+1) - a*x^(q^r) + d*x - c, stored
+    densely, so refused before it is built unless q^r <= MAX_ORDER."""
     if r < 0:
         raise ValueError("r must be >= 0")
     spec = m.spec
+    if r >= MAX_ORDER.bit_length() or spec.order**r > MAX_ORDER:   # q >= 2
+        raise ValueError(f"the criterion polynomial for r = {r} over {spec!r} is "
+                         "too large: it needs q^r <= 2^20")
     return _criterion_at(m, Poly.monomial(spec, spec.one, spec.order**r))
 
 

@@ -5,6 +5,11 @@ constant coordinate least significant); polynomials are printed both as
 text and as coefficient-encoding lists.  Exit codes: 0 success, 1 property
 or agreement failure or a failed internal check, 2 usage or validation
 error.
+
+Every request takes one path through main, which validates in a fixed order:
+the field, then --matrix (for all but verify), which starts the payload with
+its "field" and "matrix" keys, then the command's own rules.  Each cmd_*
+appends only its own keys, in the order of the TSV columns.
 """
 
 from __future__ import annotations
@@ -52,44 +57,35 @@ def _emit(payload: dict | list, fmt: str, tsv_rows=None):
             print("\t".join(str(row[c]) for c in cols))
 
 
-def cmd_classify(args) -> int:
-    spec = make_field(args.p, args.s)
-    m = _parse_matrix(spec, args.matrix)
+def cmd_classify(args, m, payload) -> int:
     if m.is_scalar():
-        payload = {"field": spec.describe(), "matrix": _matrix_payload(m),
-                   "type": "identity", "order": 1, "reduced": None,
-                   "conjugator": None, "param": None, "eigenvalue": None}
+        payload.update(type="identity", order=1, reduced=None, conjugator=None,
+                       param=None, eigenvalue=None)
     else:
         info, red, conj, eig = reduce(m)
-        payload = {
-            "field": spec.describe(),
-            "matrix": _matrix_payload(m),
-            "type": info.kind,
-            "order": ProjMat(m).order(),
-            "reduced": _matrix_payload(red),
-            "conjugator": _matrix_payload(conj),
-            "param": info.param.encode() if info.param is not None else None,
-            "eigenvalue": [eig.u.encode(), eig.v.encode()],
-        }
+        payload.update(
+            type=info.kind,
+            order=ProjMat(m).order(),
+            reduced=_matrix_payload(red),
+            conjugator=_matrix_payload(conj),
+            param=info.param.encode() if info.param is not None else None,
+            eigenvalue=[eig.u.encode(), eig.v.encode()],
+        )
     _emit(payload, args.format)
     return 0
 
 
-def cmd_qmap(args) -> int:
-    spec = make_field(args.p, args.s)
-    m = _parse_matrix(spec, args.matrix)
+def cmd_qmap(args, m, payload) -> int:
     qc = q_map(m)                 # raises ContractError unless m fixes the map
     Q = qc.map
-    payload = {
-        "field": spec.describe(),
-        "matrix": _matrix_payload(m),
-        "num": _poly_payload(Q.num),
-        "den": _poly_payload(Q.den),
-        "degree": Q.degree,
-        "type": qc.source.info.kind,
-        "conjugator": _matrix_payload(qc.source.conjugator),
-        "fixed_point_verified": True,
-    }
+    payload.update(
+        num=_poly_payload(Q.num),
+        den=_poly_payload(Q.den),
+        degree=Q.degree,
+        type=qc.source.info.kind,
+        conjugator=_matrix_payload(qc.source.conjugator),
+        fixed_point_verified=True,
+    )
     _emit(payload, args.format)
     return 0
 
@@ -103,43 +99,31 @@ def _checked_invariant(cls, f) -> bool:
         return False
 
 
-def cmd_invariants(args) -> int:
-    spec = make_field(args.p, args.s)
-    m = _parse_matrix(spec, args.matrix)
+def cmd_invariants(args, m, payload) -> int:
     cls = ProjMat(m)
     if cls.is_identity():
         raise ValueError("the identity class fixes every polynomial")
+    polys = generate_invariants(m, args.m)      # refuses D*m <= 2
     D = cls.order()
-    if D * args.m <= 2:
-        raise ValueError("generation requires D*m > 2")
-    polys = generate_invariants(m, args.m)
-    checked = None
+    payload.update(
+        order=D,
+        degree=D * args.m,
+        count=len(polys),
+        invariants=[_poly_payload(f) for f in polys],
+    )
+    checked = True
     if args.check:
-        checked = all(_checked_invariant(cls, f) for f in polys)
-    payload = {
-        "field": spec.describe(),
-        "matrix": _matrix_payload(m),
-        "order": D,
-        "degree": D * args.m,
-        "count": len(polys),
-        "invariants": [_poly_payload(f) for f in polys],
-    }
-    if args.check:
-        payload["checked"] = checked
+        checked = payload["checked"] = all(_checked_invariant(cls, f) for f in polys)
     if args.format == "tsv":
         rows = [{"degree": D * args.m, "invariant": to_text(f)} for f in polys]
         rows = rows or [{"degree": D * args.m, "invariant": "(none)"}]
         _emit(payload, "tsv", rows)
     else:
         _emit(payload, "json")
-    if args.check and not checked:
-        return 1
-    return 0
+    return 0 if checked else 1
 
 
-def cmd_count(args) -> int:
-    spec = make_field(args.p, args.s)
-    m = _parse_matrix(spec, args.matrix)
+def cmd_count(args, m, payload) -> int:
     cls = ProjMat(m)
     n = args.n
     if n < 2:
@@ -160,22 +144,19 @@ def cmd_count(args) -> int:
         else:
             counts["criterion"] = count_via_criterion(m, n // D)
     agree = len(set(counts.values())) == 1
-    payload = {
-        "field": spec.describe(),
-        "matrix": _matrix_payload(m),
-        "type": kind or "identity",
-        "order": D,
-        "n": n,
+    payload.update(
+        type=kind or "identity",
+        order=D,
+        n=n,
         **counts,
-    }
+    )
     if args.method == "all":
         payload["agree"] = agree
     _emit(payload, args.format)
     return 0 if args.method != "all" or agree else 1
 
 
-def cmd_verify(args) -> int:
-    spec = make_field(args.p, args.s)
+def cmd_verify(args, spec) -> int:
     suite = SUITES[args.suite]
     rows = suite(spec, seed=args.seed)
     _emit([row._asdict() for row in rows], args.format,
@@ -236,7 +217,12 @@ _parser = functools.cache(build_parser)       # built on first use, then reused
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = make_field(args.p, args.s)
+        if args.command == "verify":
+            return cmd_verify(args, spec)
+        m = _parse_matrix(spec, args.matrix)
+        header = {"field": spec.describe(), "matrix": _matrix_payload(m)}
+        return args.func(args, m, header)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

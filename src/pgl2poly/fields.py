@@ -220,19 +220,20 @@ def smallest_nonsquare(spec: FieldSpec) -> Felt:
         raise ValueError("every element of an even-order field is a square")
     return Felt(spec, next(n for n in range(2, spec.order) if spec.log[n] % 2))
 
-@functools.lru_cache(maxsize=None)
-def _primitive_element(spec):
-    # minimal-encoding generator of the multiplicative group
-    n = spec.order - 1
-    checks = [n // r for r in prime_factors(n)]
-    return next(g for g in spec.elements() if g and all(g**e != spec.one for e in checks))
-
 def element_of_mult_order(spec, d: int):
-    """g^((#units)/d) for the minimal-encoding primitive g; has order exactly d."""
+    """g^((#units)/d) for the minimal-encoding primitive g; has order exactly d.
+    On GF(q) g is exp[1], since _tables takes the least encoding of order
+    q - 1; on GF(q^2) the scan for g starts at encoding q, since the units of
+    GF(q) below it have orders dividing q - 1."""
     n = spec.order - 1
     if d < 1 or n % d != 0:
         raise ValueError(f"{d} does not divide the unit group order {n}")
-    return _primitive_element(spec) ** (n // d)
+    if isinstance(spec, FieldSpec):
+        return Felt(spec, spec.exp[n // d])
+    checks = [n // r for r in prime_factors(n)]
+    g = next(g for g in map(spec.from_encoding, range(spec.base.order, spec.order))
+             if all(g**e != spec.one for e in checks))
+    return g ** (n // d)
 
 
 # ---------------------------------------------------------------------------

@@ -62,17 +62,6 @@ def _random_nonzero_poly(spec, max_deg, rng) -> Poly:
         if f:
             return f
 
-def _all_gl2(spec):
-    out = []
-    for a in spec.elements():
-        for b in spec.elements():
-            for c in spec.elements():
-                for d in spec.elements():
-                    if a * d != b * c:
-                        out.append(Mat2(a, b, c, d))
-    return out
-
-
 def type_representatives(spec: FieldSpec) -> list[tuple[str, Mat2]]:
     """One reduced-form representative per available (type, order) pair."""
     q = spec.order
@@ -349,27 +338,18 @@ def suite_pgroup(spec: FieldSpec, seed: int = 12345):
     def unipotent(a):
         return ProjMat(Mat2(spec.one, spec.zero, a, spec.one))
 
+    prime = [spec.from_encoding(k) for k in range(p)]   # GF(p): encodings below p
     seen_spans = set()
     pairs = []
     attempts = 0
     while len(pairs) < 5 and attempts < 1000:
         attempts += 1
         a = spec.from_encoding(rng.randrange(1, q))
-        span_a = {spec.zero}
-        cur = spec.zero
-        for _ in range(p - 1):
-            cur = cur + a
-            span_a.add(cur)
         b = spec.from_encoding(rng.randrange(1, q))
-        if b in span_a:
+        if (b / a).n < p:                           # b lies in GF(p)*a
             continue
-        span = set()
-        cur = spec.zero
-        for _ in range(p):
-            span |= {x + cur for x in span_a}
-            cur = cur + b
         pairs.append((a, b))
-        seen_spans.add(frozenset(x.encode() for x in span))
+        seen_spans.add(frozenset((k * a + l * b).n for k in prime for l in prime))
 
     ok = True
     details = []
@@ -397,7 +377,9 @@ def suite_sigma(spec: FieldSpec, seed: int = 12345):
     q = spec.order
     rows = []
     if q <= 3:
-        mats = _all_gl2(spec)
+        # GL2(q): the nonzero scalar multiples of one matrix per class
+        mats = [cls.rep.scale(t) for cls in all_classes(spec)
+                for t in spec.elements() if t]
         det_pairs = [(A, B) for A in mats for B in mats]
     else:
         det_pairs = [(_random_matrix(spec, rng), _random_matrix(spec, rng))

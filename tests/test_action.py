@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import gcd
 
@@ -109,6 +110,18 @@ def test_f_poly_identity_r0_vanishes(F3):
 def test_f_poly_degree(F5):
     A = reduced_type4(F5, F5.from_encoding(4))
     assert F_poly(A, 2).degree == 5 ** 2 + 1
+
+
+def test_f_poly_stops_at_the_field_table_bound(F2):
+    # q^r may reach MAX_ORDER = 2^20 and no further; past it F_poly refuses
+    # before the dense monomial is built, and a huge r before q^r is taken
+    A = reduced_type4(F2, F2.one)
+    assert F_poly(A, 20).degree == 2**20 + 1
+    for r in (21, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"too large: it needs q\^r <= 2\^20"):
+            F_poly(A, r)
+        assert time.perf_counter() - start < 1
 
 
 def test_criterion_on_d1_cubics(F2):

@@ -3,8 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 from conftest import SRC, run_cli
+from pgl2poly.cli import main
 
 
 def test_classify_type4(F5):
@@ -158,6 +162,63 @@ def test_cli_import_skips_fractions_and_decimal():
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+# Every invalid request exits 2 with a one-line reason and no traceback.
+# The field is checked first, then the matrix, then the command's own rules;
+# the two cases with two faults each pin that order.
+ERROR_PATHS = [
+    (("classify", "--p", "4", "--matrix", "0,1,1"), "error: 4 is not prime"),
+    (("count", "--p", "3", "--matrix", "0,1,1", "--n", "1"),
+     "error: matrix must be four comma-separated encodings a,b,c,d"),
+    (("classify", "--p", "2", "--s", "0", "--matrix", "0,1,1,0"),
+     "error: extension degree must be >= 1, got 0"),
+    (("classify", "--p", "2", "--s", "21", "--matrix", "0,1,1,0"),
+     "error: GF(2^21) is too large: field tables need q <= 2^20"),
+    (("classify", "--p", "3", "--matrix", "0,1,1"),
+     "error: matrix must be four comma-separated encodings a,b,c,d"),
+    (("classify", "--p", "3", "--matrix", "0,1,x,0"),
+     "error: invalid literal for int() with base 10: 'x'"),
+    (("classify", "--p", "3", "--matrix", "1,1,1,1"), "error: matrix is singular"),
+    (("qmap", "--p", "3", "--matrix", "1,1,1,1"), "error: matrix is singular"),
+    (("classify", "--p", "3", "--matrix", "0,1,3,0"),
+     "error: encoding 3 out of range [0, 3)"),
+    (("qmap", "--p", "3", "--matrix", "1,0,0,1"),
+     "error: the identity class has no rational map"),
+    (("invariants", "--p", "3", "--matrix", "1,0,0,1", "--m", "2"),
+     "error: the identity class fixes every polynomial"),
+    (("invariants", "--p", "2", "--matrix", "1,0,1,1", "--m", "1"),
+     "error: generation requires D*m > 2"),
+    (("invariants", "--p", "3", "--matrix", "0,1,1,0", "--m", "0"),
+     "error: generation requires D*m > 2"),
+    (("count", "--p", "3", "--matrix", "0,1,1,0", "--n", "1"),
+     "error: counting starts at degree 2"),
+    (("count", "--p", "2", "--matrix", "0,1,1,1", "--n", "2", "--method", "formula"),
+     "error: the closed formula applies only for n > 2; use --method brute for quadratics"),
+    (("count", "--p", "2", "--matrix", "1,0,0,1", "--n", "3", "--method", "criterion"),
+     "error: criterion counting excludes the identity class"),
+    (("verify", "--p", "4", "--suite", "sigma"), "error: 4 is not prime"),
+]
+
+@pytest.mark.parametrize("argv,last_line", ERROR_PATHS,
+                         ids=[" ".join(argv) for argv, _ in ERROR_PATHS])
+def test_invalid_request_exits_two_with_one_reason(argv, last_line):
+    res = run_cli(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1] == last_line
+    assert "Traceback" not in res.stderr
+
+def test_criterion_count_past_the_table_bound_exits_two(capsys):
+    # r = n/D = 30 asks for F_poly's dense monomial of degree 2^30, once a
+    # MemoryError traceback; the request is refused before anything is built
+    start = time.perf_counter()
+    rc = main(["count", "--p", "2", "--matrix", "0,1,1,0", "--n", "60",
+               "--method", "criterion"])
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.splitlines() == ["error: the criterion polynomial for r = 30 over "
+                                    "GF(2) is too large: it needs q^r <= 2^20"]
 
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")

@@ -189,6 +189,24 @@ def test_element_of_mult_order_in_extension():
         assert all(x ** e != ext.one for e in range(1, d))
 
 
+def _least_primitive(spec):
+    # the brute scan: the first unit in encoding order whose order is #units
+    n = spec.order - 1
+    proper = [e for e in range(1, n) if n % e == 0]
+    return next(x for x in spec.elements()
+                if x and all(x ** e != spec.one for e in proper))
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2), (5, 2), (3, 3), (101, 1)])
+def test_element_of_mult_order_is_a_power_of_the_least_primitive(p, s):
+    base = make_field(p, s)
+    for spec in (base, make_ext(base)):
+        g0, n = _least_primitive(spec), spec.order - 1
+        for d in range(1, n + 1):
+            if n % d == 0:
+                assert element_of_mult_order(spec, d) == g0 ** (n // d)
+
+
 def test_make_ext_f2_modulus():
     ext = make_ext(make_field(2, 1))
     assert (ext.m0.encode(), ext.m1.encode()) == (1, 1)   # x^2 + x + 1

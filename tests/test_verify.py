@@ -59,11 +59,87 @@ def test_sigma_acts_once_per_distinct_triple(monkeypatch, F2, seed):
 
 
 # ---------------------------------------------------------------------------
+# GL2(q) and the spans of the p-group suite, against the constructions the
+# suites used before they took them from the lower layers
+
+def _four_loop_gl2(spec):
+    els = list(spec.elements())
+    return [Mat2(a, b, c, d) for a in els for b in els for c in els for d in els
+            if a * d != b * c]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sigma_sweeps_each_gl2_matrix_once(monkeypatch, p):
+    spec = make_field(p, 1)
+    want = _four_loop_gl2(spec)
+    calls, sigma = [], verify.sigma_product
+    monkeypatch.setattr(verify, "sigma_product",
+                        lambda A, B: calls.append((A, B)) or sigma(A, B))
+    rows = verify.suite_sigma(spec, seed=7)
+    n = len(want)
+    mats = [A for A, _ in calls[:n * n:n]]
+    assert len(set(mats)) == n and set(mats) == set(want)
+    assert calls[:n * n] == [(A, B) for A in mats for B in mats]
+    assert rows[0].passed and rows[0].detail == f"{n * n} pairs"
+
+
+def _span_by_addition(spec, *gens):
+    # {k*a + l*b : k, l in GF(p)}, one addition at a time
+    span = {spec.zero}
+    for g in gens:
+        layer, cur = set(span), spec.zero
+        for _ in range(spec.p - 1):
+            cur = cur + g
+            span |= {x + cur for x in layer}
+    return span
+
+
+PGROUP_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("p,s", PGROUP_FIELDS)
+def test_span_test_matches_repeated_addition(p, s):
+    # b lies in GF(p)*a exactly when b/a is a constant, an encoding below p
+    spec = make_field(p, s)
+    prime = [spec.from_encoding(k) for k in range(p)]
+    units = [x for x in spec.elements() if x]
+    for a in units:
+        line = _span_by_addition(spec, a)
+        for b in units:
+            assert ((b / a).n < p) == (b in line)
+            if b not in line:
+                assert ({k * a + l * b for k in prime for l in prime}
+                        == _span_by_addition(spec, a, b))
+
+
+@pytest.mark.parametrize("p,s", PGROUP_FIELDS)
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+def test_pgroup_draws_the_pairs_of_repeated_addition(monkeypatch, p, s, seed):
+    spec = make_field(p, s)
+    q, rng = spec.order, random.Random(seed)
+    want, spans = [], set()
+    while len(want) < 5:
+        a = spec.from_encoding(rng.randrange(1, q))
+        line = _span_by_addition(spec, a)
+        b = spec.from_encoding(rng.randrange(1, q))
+        if b not in line:
+            want.append((a, b))
+            spans.add(frozenset(_span_by_addition(spec, a, b)))
+    got, closure = [], verify.subgroup_closure
+    monkeypatch.setattr(verify, "subgroup_closure",
+                        lambda gens: got.append(tuple(g.rep.c for g in gens))
+                        or closure(gens))
+    [row] = verify.suite_pgroup(spec, seed=seed)
+    assert got == want
+    assert row.passed and f"({len(spans)} spans)" in row.detail
+
+
+# ---------------------------------------------------------------------------
 # the cache rule: a process-wide cache keeps later bench passes warm, so only
 # these may exist, and the bench empties the ones that hold results
 
 ALLOWED_CACHES = {
-    "fields.make_field", "fields._primitive_element", "fields.make_ext",
+    "fields.make_field", "fields.make_ext",
     "polynomials.is_irreducible", "polynomials.enumerate_monic_irreducibles",
     "action.invariant_set", "cli._parser",
 }
