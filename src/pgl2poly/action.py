@@ -22,7 +22,8 @@ from itertools import product
 from math import gcd as int_gcd
 
 from . import linalg
-from .fields import MAX_ORDER, FieldSpec
+from .fields import FieldSpec
+from .numutil import MAX_ORDER
 from .polynomials import (Poly, _add_logs, _form, _frobenius, _from_logs,
                           _same, divrem, enumerate_monic_irreducibles,
                           form_matrix, is_irreducible, monicize)

@@ -114,12 +114,8 @@ def cmd_invariants(args, m, payload) -> int:
     checked = True
     if args.check:
         checked = payload["checked"] = all(_checked_invariant(cls, f) for f in polys)
-    if args.format == "tsv":
-        rows = [{"degree": D * args.m, "invariant": to_text(f)} for f in polys]
-        rows = rows or [{"degree": D * args.m, "invariant": "(none)"}]
-        _emit(payload, "tsv", rows)
-    else:
-        _emit(payload, "json")
+    texts = [to_text(f) for f in polys] or ["(none)"]     # json ignores the rows
+    _emit(payload, args.format, [{"degree": D * args.m, "invariant": t} for t in texts])
     return 0 if checked else 1
 
 

@@ -18,10 +18,8 @@ from itertools import accumulate, dropwhile
 from operator import mul, not_
 from collections.abc import Iterator
 
-from .numutil import is_prime, power, prime_factors
+from .numutil import MAX_ORDER, is_prime, power, prime_factors
 from .polynomials import Poly, is_irreducible, monic_polys, pow_mod
-
-MAX_ORDER = 1 << 20
 
 
 class FieldSpec:

@@ -6,6 +6,8 @@ The integer helpers are trial-division based; inputs stay well below 10**6.
 
 from __future__ import annotations
 
+MAX_ORDER = 1 << 20    # the largest q (field tables), q^r (F_poly), q^n (enumeration)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:

@@ -29,7 +29,7 @@ import functools
 from itertools import product
 from collections.abc import Iterator
 
-from .numutil import power
+from .numutil import MAX_ORDER, power
 
 
 class Poly:
@@ -348,6 +348,7 @@ def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
     tu = [(j, t) for j, t in enumerate(lu) if t >= 0]
     tv = [(j, t) for j, t in enumerate(lv) if t >= 0]
     du, dv = len(lu) - 1, len(lv) - 1
+    low = next((i for i, c in enumerate(coeffs) if c), 0)     # lowest nonzero c_i
     acc, vp = [], [0]                              # vp = v^(k-i), logs
     for i in range(k, -1, -1):
         c = log[coeffs[i]] if i <= top else -1
@@ -355,7 +356,7 @@ def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
         nxt += [-1] * (len(acc) + du - len(nxt))
         _mul_into(zech, m, nxt, acc, tu)
         acc = nxt
-        if i:
+        if i > low:                                # no term below low reads vp
             nxt = [-1] * (len(vp) + dv)
             _mul_into(zech, m, nxt, vp, tv)
             vp = nxt
@@ -478,7 +479,11 @@ def monic_polys(ring, n: int) -> Iterator[Poly]:
 
 @functools.lru_cache(maxsize=None)
 def enumerate_monic_irreducibles(ring, n: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree n in encoding order."""
+    """All monic irreducibles of degree n in encoding order, refused before
+    the scan unless q^n <= MAX_ORDER."""
     if n < 1:
         raise ValueError("degree must be >= 1")
+    if n >= MAX_ORDER.bit_length() or ring.order**n > MAX_ORDER:   # q >= 2
+        raise ValueError(f"the enumeration of degree {n} over {ring!r} is too "
+                         "large: it needs q^n <= 2^20")
     return tuple(f for f in monic_polys(ring, n) if is_irreducible(f))

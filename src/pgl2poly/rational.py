@@ -3,14 +3,14 @@
 For a non-identity class of order D there is a rational function
 Q = num/den of degree D, fixed by the Moebius substitution of the class,
 such that the invariants of degree D*m are exactly the monic rescalings of
-den^m * F(num/den) with F of degree m.  The map is assembled per type from
-the two linear forms of the conjugator; type 4 additionally builds a pair
-of polynomials whose coefficients are the order's own sequence: the
-Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
+den^m * F(num/den) with F of degree m.  Q is the reduced map Q_red of the
+class's type, x^D, x^p - x, x + b/x or g/h, after the Moebius change by the
+class's conjugator.  The coefficients of g and h are the order's own
+sequence: the Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
 
 Which F give an irreducible transform is decided from F alone, with no
-irreducibility test on the degree-D*m result.  Q is the reduced map Q_red
-after a Moebius change, which keeps irreducibility, and by Capelli's lemma
+irreducibility test on the degree-D*m result.  The Moebius change keeps
+irreducibility, and by Capelli's lemma
 the transform is irreducible of degree D*m exactly when num_red - a*den_red
 is irreducible of degree D over GF(q^m) = GF(q)(a), for a a root of F.
 A norm takes the test down to GF(q) or GF(q^2):
@@ -36,7 +36,7 @@ from .polynomials import (Poly, _form, _from_logs, _logs, _reducer, _rem_logs,
                           form_matrix, gcd, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, lucas, reduce)
-from .action import _linear_forms, act
+from .action import _linear_forms
 
 
 class RationalMap(namedtuple("RationalMap", "num den degree")):
@@ -79,27 +79,22 @@ def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
 
 
 def q_map(m: Mat2) -> QConstruction:
-    """The degree-D rational map attached to the class of m."""
+    """Q = Q_red of the class of m after the Moebius change by its conjugator."""
     cls = ProjMat(m)
     if cls.is_identity():
         raise ValueError("the identity class has no rational map")
     D = cls.order()
     rf = reduce(m)
-    l1, l2 = _linear_forms(rf.conjugator)
-    kind = rf.info.kind
+    spec, kind = m.spec, rf.info.kind
     if kind == TYPE1:
-        num, den = l1**D, l2**D
-    elif kind == TYPE2:
-        p = m.spec.p
-        num = l1**p - l1 * l2 ** (p - 1)
-        den = l2**p
+        red = Poly.monomial(spec, spec.one, D), Poly.one(spec)
+    elif kind == TYPE2:                                    # D = p
+        red = Poly.monomial(spec, spec.one, D) - Poly.x(spec), Poly.one(spec)
     elif kind == TYPE3:
-        num = l1 * l1 + (l2 * l2).scale(rf.info.param)
-        den = l1 * l2
+        red = Poly(spec, (rf.info.param.n, 0, 1)), Poly.x(spec)
     else:
-        g, h = _type4_reduced_pair(rf, D)
-        num = act(rf.conjugator, g)
-        den = l2 * act(rf.conjugator, h)
+        red = _type4_reduced_pair(rf, D)
+    num, den, _ = substitute_mobius(RationalMap(*red, D), rf.conjugator)
 
     # one scalar on the pair: make the degree-D side monic
     anchor = den if den.degree == D else num

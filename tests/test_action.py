@@ -189,6 +189,29 @@ def test_criterion_takes_one_power_per_exponent(monkeypatch, p, s):
             assert 2 <= len(steps) <= (D - 1) * 2
 
 
+@pytest.mark.parametrize("entries,D", [((2, 0, 0, 1), 4), ((0, 1, 3, 1), 6)])
+def test_criterion_divides_only_at_exponents_prime_to_the_order(monkeypatch, F5,
+                                                                entries, D):
+    # a class of order D tests f of degree D*m at l*m for the phi(D) values
+    # l in [1, D-1] prime to D, and at no other l: a non-invariant f at all
+    # of them, an invariant f at most at all of them.  diag(2, 1) is type 1
+    # and [[0,1],[3,1]] type 4 over GF(5)
+    rep = Mat2.from_encodings(F5, entries)
+    assert ProjMat(rep).order() == D
+    phi = sum(gcd(ell, D) == 1 for ell in range(1, D))
+    calls = []
+    monkeypatch.setattr(action, "_criterion_at", lambda m, y, _f=action._criterion_at:
+                        calls.append(y) or _f(m, y))
+    fixed, seen = invariant_set(ProjMat(rep), D), set()
+    for f in enumerate_monic_irreducibles(F5, D):
+        invariant = f in fixed
+        calls.clear()
+        assert criterion_invariant(rep, f) == invariant
+        assert 1 <= len(calls) <= phi if invariant else len(calls) == phi
+        seen.add(invariant)
+    assert seen == {True, False}
+
+
 def test_criterion_takes_pow_logs_steps_over_large_p(monkeypatch):
     # over GF(101) a dense f of degree 4 keeps the square-and-multiply step:
     # the spread step's remainder of a degree-303 spread costs more.  The

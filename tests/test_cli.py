@@ -70,12 +70,13 @@ def test_wrong_square_root_fails_the_root_check_under_optimize():
         ["classify", "--p", "7", "--matrix", "0,1,3,0"])
 
 def test_failed_map_check_exits_one_under_optimize():
-    # a Moebius substitution that swaps num and den breaks the fixed-point
-    # check inside q_map
+    # a Moebius substitution that swaps num and den, both where it builds the
+    # map and where it checks it, breaks the fixed-point check inside q_map
     _assert_internal_failure_under_optimize(
         "rational.substitute_mobius = lambda Q, m: rational.RationalMap("
         "Q.den, Q.num, Q.degree)",
-        ["qmap", "--p", "5", "--matrix", "0,1,4,1"])
+        ["qmap", "--p", "5", "--matrix", "0,1,4,1"],
+        "map must be fixed by its own Moebius substitution")
 
 def test_failed_order_check_exits_one_under_optimize():
     # with no admissible divisors the order 4 of diag(2, 1) over GF(5) is
@@ -163,6 +164,14 @@ def test_cli_import_skips_fractions_and_decimal():
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
 
+# Requests that would enumerate all q^n monic polynomials of a degree n with
+# q^n > 2^20, and the degree n: once a hang, or (the last) a MemoryError
+ENUMERATION_PAST_THE_BOUND = [
+    (("invariants", "--p", "2", "--matrix", "0,1,1,1", "--m", "24"), 24),
+    (("count", "--p", "2", "--matrix", "1,0,0,1", "--n", "40", "--method", "brute"), 40),
+    (("invariants", "--p", "2", "--matrix", "0,1,1,1", "--m", str(10**12)), 10**12),
+]
+
 # Every invalid request exits 2 with a one-line reason and no traceback.
 # The field is checked first, then the matrix, then the command's own rules;
 # the two cases with two faults each pin that order.
@@ -197,7 +206,8 @@ ERROR_PATHS = [
     (("count", "--p", "2", "--matrix", "1,0,0,1", "--n", "3", "--method", "criterion"),
      "error: criterion counting excludes the identity class"),
     (("verify", "--p", "4", "--suite", "sigma"), "error: 4 is not prime"),
-]
+] + [(argv, f"error: the enumeration of degree {n} over GF(2) is too large: "
+             "it needs q^n <= 2^20") for argv, n in ENUMERATION_PAST_THE_BOUND]
 
 @pytest.mark.parametrize("argv,last_line", ERROR_PATHS,
                          ids=[" ".join(argv) for argv, _ in ERROR_PATHS])
@@ -219,6 +229,15 @@ def test_criterion_count_past_the_table_bound_exits_two(capsys):
     assert rc == 2 and out.out == ""
     assert out.err.splitlines() == ["error: the criterion polynomial for r = 30 over "
                                     "GF(2) is too large: it needs q^r <= 2^20"]
+
+@pytest.mark.parametrize("argv,n", ENUMERATION_PAST_THE_BOUND,
+                         ids=[str(n) for _, n in ENUMERATION_PAST_THE_BOUND])
+def test_enumeration_past_the_bound_is_refused_at_once(capsys, argv, n):
+    # refused before any polynomial is built, and for a huge n before q^n is
+    start = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith(f"error: the enumeration of degree {n} ")
 
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")
@@ -266,6 +285,12 @@ def test_invariants_empty_list_exits_zero():
                   "--m", "2")
     out = json.loads(res.stdout)
     assert res.returncode == 0 and out["count"] == 0 and out["invariants"] == []
+
+def test_invariants_empty_list_prints_the_none_row_in_tsv():
+    res = run_cli("invariants", "--p", "2", "--matrix", "0,1,1,1", "--m", "2",
+                  "--format", "tsv")
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == ["degree\tinvariant", "6\t(none)"]
 
 def test_invariants_small_degree_exits_two():
     res = run_cli("invariants", "--p", "2", "--s", "1", "--matrix", "1,0,1,1",

@@ -450,9 +450,9 @@ def test_kernels_return_reduced_trimmed_logs(ring):
 def test_form_kernel_matches_power_lists(ring):
     # polynomials._form, through homogenize and on log lists with a trailing
     # zero (as act passes a*x + c with a = 0), for u and v of every degree
-    # -1..3 (zero and constant included), coefficient lists with a zero
-    # constant or a zero top term and k = top..top+3; k = 40 keeps the logs
-    # unreduced over many Horner steps
+    # -1..3 (zero and constant included), coefficient lists with one to four
+    # zero low terms or a zero top term and k = top..top+3; k = 40 keeps the
+    # logs unreduced over many Horner steps
     rng = random.Random(ring.order * 13 + ring.modulus[0])
     q = ring.order
 
@@ -465,7 +465,7 @@ def test_form_kernel_matches_power_lists(ring):
         u, v = rand_poly(trial % 5 - 1), rand_poly(trial // 5 % 5 - 1)
         coeffs = [rng.randrange(q) for _ in range(rng.randrange(6))]
         if trial % 3 == 1:
-            coeffs = [0] + coeffs                # zero constant coefficient
+            coeffs = [0] * (1 + trial % 4) + coeffs      # zero low coefficients
         elif trial % 3 == 2:
             coeffs = coeffs + [0]                # zero top coefficient
         top = Poly(ring, coeffs).degree

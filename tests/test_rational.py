@@ -12,8 +12,9 @@ from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
                       reduced_type3, reduced_type4, substitute_mobius,
                       transform, try_descend)
 from pgl2poly import polynomials, rational
+from pgl2poly.action import _linear_forms
 from pgl2poly.rational import _type4_reduced_pair
-from pgl2poly.verify import _random_matrix
+from pgl2poly.verify import _random_matrix, type_representatives
 
 
 def test_q_map_worked_example_q3(F3):
@@ -61,6 +62,51 @@ def test_q_map_reduced_forms_specialize():
     F3 = make_field(3, 1)
     Q4 = q_map(reduced_type4(F3, F3.one)).map
     assert Q4.num.is_monic and Q4.num.degree == 4 and Q4.den.degree == 3
+
+def _reference_q_map(m):
+    # the map built per type from the conjugator's linear forms l1 = a*x + c
+    # and l2 = b*x + d, by Poly powers and products, then scaled as q_map
+    # scales it
+    D = ProjMat(m).order()
+    rf = reduce(m)
+    l1, l2 = _linear_forms(rf.conjugator)
+    kind = rf.info.kind
+    if kind == TYPE1:
+        num, den = l1**D, l2**D
+    elif kind == TYPE2:
+        p = m.spec.p
+        num, den = l1**p - l1 * l2 ** (p - 1), l2**p
+    elif kind == TYPE3:
+        num, den = l1 * l1 + (l2 * l2).scale(rf.info.param), l1 * l2
+    else:
+        g, h = _type4_reduced_pair(rf, D)
+        num, den = act(rf.conjugator, g), l2 * act(rf.conjugator, h)
+    anchor = den if den.degree == D else num
+    inv = anchor.lc().inverse()
+    return RationalMap(num.scale(inv), den.scale(inv), D), rf
+
+Q_MAP_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2),
+                (3, 3), (31, 1), (7, 2), (53, 1), (101, 1)]
+
+@pytest.mark.parametrize("p,s", Q_MAP_FIELDS)
+def test_q_map_matches_the_per_type_construction(p, s):
+    # every type representative and two seeded hidden conjugates of each:
+    # one Moebius change of the reduced map gives the map, degree and source
+    # of the construction from the conjugator's linear forms
+    spec = make_field(p, s)
+    rng = random.Random(41)
+    kinds = set()
+    for _, R in type_representatives(spec):
+        for P in (Mat2.identity(spec), _random_matrix(spec, rng),
+                  _random_matrix(spec, rng)):
+            M = P * R * P.inverse()
+            Q, rf = q_map(M)
+            want, want_rf = _reference_q_map(M)
+            assert (Q.num, Q.den, Q.degree) == (want.num, want.den, want.degree), M
+            assert rf == want_rf
+            kinds.add(rf.info.kind)
+    assert kinds == ({TYPE2, TYPE4} | ({TYPE1} if spec.order > 2 else set())
+                     | ({TYPE3} if p != 2 else set()))
 
 def test_q_map_is_deterministic(F5):
     A = Mat2.from_encodings(F5, (1, 2, 3, 2))
