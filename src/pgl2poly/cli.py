@@ -125,6 +125,10 @@ def cmd_count(args, m, payload) -> int:
     if n < 2:
         raise ValueError("counting starts at degree 2")
     D = cls.order()
+    # the count is below 2q^(n/D) <= 2^(1 + k*n/D), k the bit length of q - 1
+    if not n % D and (m.spec.order - 1).bit_length() * (n // D) >= 13287:
+        raise ValueError(f"the count of degree {n} over {m.spec!r} is too large: "
+                         "it can have more than 4000 digits")     # 2^13287 < 10^4000
     kind = classify(m).kind
     counts: dict[str, int] = {}
     if args.method in ("formula", "all"):

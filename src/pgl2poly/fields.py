@@ -212,6 +212,10 @@ def is_square(x: Felt) -> bool:
     """True iff x is zero or has an even log; in even characteristic always."""
     return x.spec.p == 2 or not x.n or x.spec.log[x.n] % 2 == 0
 
+def trace(x: Felt) -> Felt:
+    """The absolute trace x + x^p + ... + x^(p^(s-1)), an element of GF(p)."""
+    return sum((x ** x.spec.p**i for i in range(x.spec.s)), x.spec.zero)
+
 def smallest_nonsquare(spec: FieldSpec) -> Felt:
     """The non-square of minimal encoding; only exists for odd q."""
     if spec.p == 2:
@@ -353,9 +357,7 @@ class ExtElt:
 def make_ext(spec: FieldSpec) -> ExtSpec:
     """The quadratic extension of spec with a deterministic modulus."""
     if spec.p == 2:
-        # least beta of absolute trace beta + beta^2 + ... + beta^(2^(s-1)) = 1
-        beta = next(x for x in spec.elements()
-                    if sum((x ** 2**i for i in range(spec.s)), spec.zero) == spec.one)
+        beta = next(filter(trace, spec.elements()))   # least of trace 1
         return ExtSpec(spec, beta, spec.one)          # x^2 + x + beta
     beta = smallest_nonsquare(spec)
     return ExtSpec(spec, -beta, spec.zero)            # x^2 - beta

@@ -335,17 +335,13 @@ def reduce(m: Mat2) -> ReducedForm:
         conj = _invertible(va[0], vb[0], va[1], vb[1])
         eig = alpha
     elif info.kind == TYPE2:
-        lam = roots[0].u
         red = reduced_type2(spec)
-        if proj_eq(m, red):
-            conj = Mat2.identity(spec)
-        else:
-            nil = m.scale(lam.inverse())
-            n_a, n_b = nil.a - spec.one, nil.b
-            n_c, n_d = nil.c, nil.d - spec.one
-            u = (spec.one, spec.zero) if (n_a or n_c) else (spec.zero, spec.one)
-            nu = (n_a * u[0] + n_b * u[1], n_c * u[0] + n_d * u[1])
-            conj = _invertible(u[0], nu[0], u[1], nu[1])
+        nil = m.scale(roots[0].u.inverse())     # N = m/lam - I is nilpotent
+        n_a, n_b = nil.a - spec.one, nil.b
+        n_c, n_d = nil.c, nil.d - spec.one
+        # [u | N u] for u = e1, or e2 when N e1 = 0: N u is a column of N
+        conj = (_invertible(spec.one, n_a, spec.zero, n_c) if n_a or n_c
+                else _invertible(spec.zero, n_b, spec.one, n_d))
         eig = roots[0]
     elif info.kind == TYPE3:
         red = reduced_type3(spec, info.param)

@@ -31,6 +31,7 @@ from collections import namedtuple
 from math import comb, gcd as int_gcd
 
 from . import linalg
+from .fields import is_square, trace
 from .polynomials import (Poly, _form, _from_logs, _logs, _reducer, _rem_logs,
                           _same, divrem, enumerate_monic_irreducibles,
                           form_matrix, gcd, monicize)
@@ -171,20 +172,12 @@ def _criterion(rf: ReducedForm, D: int, mdeg: int):
     if kind == TYPE1:
         k0 = mdeg * spec.neg                               # log (-1)^m
         return lambda F: F.coeffs[0] and int_gcd(log[F.coeffs[0]] + k0, D) == 1
-    if kind == TYPE2:
-        powers = [spec.p**i for i in range(spec.s)]
-
-        def nonzero_trace(F):                              # of f_(m-1) over GF(p)
-            c = spec.from_encoding(F.coeffs[-2])
-            return bool(sum((c ** e for e in powers), spec.zero))
-        return nonzero_trace
+    if kind == TYPE2:                                      # coeffs[-2] = f_(m-1)
+        return lambda F: bool(trace(spec.from_encoding(F.coeffs[-2])))
     if kind == TYPE3:
         four_b = rf.info.param * spec.from_encoding(4 % spec.p)
-
-        def nonsquare(y):                                  # y^2 - 4b
-            n = (spec.from_encoding(y) ** 2 - four_b).n
-            return n > 0 and log[n] % 2 == 1
-        return _by_ratio(spec, -four_b, spec.zero, nonsquare)
+        return _by_ratio(spec, -four_b, spec.zero,
+                         lambda y: not is_square(spec.from_encoding(y) ** 2 - four_b))
     t = rf.eigenvalue
     ext, e = t.ext, (spec.order + 1) // D
     zeta, index = t.conjugate() / t, {}

@@ -172,6 +172,18 @@ ENUMERATION_PAST_THE_BOUND = [
     (("invariants", "--p", "2", "--matrix", "0,1,1,1", "--m", str(10**12)), 10**12),
 ]
 
+# Closed-formula requests whose count can pass 4000 digits, and the field:
+# once a count that json could not print (exit 2 from Python's own digit
+# limit), a MemoryError traceback or a hang in q**t, and a run past 60 s
+FORMULA_PAST_THE_BOUND = [
+    (("count", "--p", "2", "--matrix", "0,1,1,1", "--n", "3000000",
+      "--method", "formula"), "GF(2)"),
+    (("count", "--p", "2", "--matrix", "0,1,1,1", "--n", "3000000000000",
+      "--method", "formula"), "GF(2)"),
+    (("count", "--p", "3", "--matrix", "0,1,1,1", "--n", "3000000000",
+      "--method", "formula"), "GF(3)"),
+]
+
 # Every invalid request exits 2 with a one-line reason and no traceback.
 # The field is checked first, then the matrix, then the command's own rules;
 # the two cases with two faults each pin that order.
@@ -207,7 +219,10 @@ ERROR_PATHS = [
      "error: criterion counting excludes the identity class"),
     (("verify", "--p", "4", "--suite", "sigma"), "error: 4 is not prime"),
 ] + [(argv, f"error: the enumeration of degree {n} over GF(2) is too large: "
-             "it needs q^n <= 2^20") for argv, n in ENUMERATION_PAST_THE_BOUND]
+             "it needs q^n <= 2^20") for argv, n in ENUMERATION_PAST_THE_BOUND
+] + [(argv, f"error: the count of degree {argv[6]} over {field} is too large: "
+             "it can have more than 4000 digits")
+     for argv, field in FORMULA_PAST_THE_BOUND]
 
 @pytest.mark.parametrize("argv,last_line", ERROR_PATHS,
                          ids=[" ".join(argv) for argv, _ in ERROR_PATHS])
@@ -238,6 +253,30 @@ def test_enumeration_past_the_bound_is_refused_at_once(capsys, argv, n):
     assert main(list(argv)) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err.startswith(f"error: the enumeration of degree {n} ")
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in FORMULA_PAST_THE_BOUND],
+                         ids=[argv[6] for argv, _ in FORMULA_PAST_THE_BOUND])
+def test_formula_past_the_bound_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: the count of degree ")
+
+def test_formula_bound_boundary(capsys):
+    # [[0,1],[1,1]] over GF(2) has order 3; the count is below 2^(1 + n/3), so
+    # n/3 = 13286 is the last admitted: it prints its count, about 2^13286
+    # over 20,000, and the next multiple of 3 is refused; off multiples of 3
+    # the count stays 0
+    def count(n):
+        rc = main(["count", "--p", "2", "--matrix", "0,1,1,1", "--n", str(n),
+                   "--method", "formula"])
+        return rc, capsys.readouterr()
+    rc, out = count(3 * 13286)
+    assert rc == 0 and out.err == ""
+    assert 3990 < len(str(json.loads(out.out)["formula"])) <= 4000
+    assert count(3 * 13287)[0] == 2
+    rc, out = count(3 * 13287 + 1)
+    assert rc == 0 and json.loads(out.out)["formula"] == 0
 
 def test_classify_rejects_bad_field():
     res = run_cli("classify", "--p", "6", "--s", "1", "--matrix", "0,1,1,0")

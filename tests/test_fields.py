@@ -6,6 +6,7 @@ from pgl2poly import (FieldSpec, Poly, artin_schreier_root,
                       element_of_mult_order, embed, frobenius_q, is_square,
                       make_ext, make_field, smallest_nonsquare, sqrt,
                       try_descend)
+from pgl2poly.fields import trace
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -210,6 +211,42 @@ def test_element_of_mult_order_is_a_power_of_the_least_primitive(p, s):
 def test_make_ext_f2_modulus():
     ext = make_ext(make_field(2, 1))
     assert (ext.m0.encode(), ext.m1.encode()) == (1, 1)   # x^2 + x + 1
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_trace_is_the_sum_of_the_conjugates(p, s):
+    # x + x^p + ... + x^(p^(s-1)), each p-th power by p - 1 products rather
+    # than through the log table; the trace lands in GF(p) (encodings below
+    # p), is GF(p)-linear and takes each value q/p times
+    spec = make_field(p, s)
+    prime = [spec.from_encoding(a) for a in range(p)]
+    seen = []
+    for x in spec.elements():
+        want, y = spec.zero, x
+        for _ in range(s):
+            want = want + y
+            z = y
+            for _ in range(p - 1):
+                z = z * y
+            y = z
+        tr = trace(x)
+        assert tr == want and tr.n < p, x
+        seen.append(tr.n)
+    assert sorted(seen) == sorted(list(range(p)) * (spec.order // p))
+    rng = random.Random(5)
+    for _ in range(50):
+        a = rng.choice(prime)
+        x, y = (spec.from_encoding(rng.randrange(spec.order)) for _ in range(2))
+        assert trace(a * x + y) == a * trace(x) + trace(y)
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_make_ext_even_q_beta_matches_the_trace_scan(s):
+    # the least beta whose sum beta + beta^2 + ... + beta^(2^(s-1)) is one,
+    # the scan make_ext ran before it read fields.trace
+    spec = make_field(2, s)
+    beta = next(x for x in spec.elements()
+                if sum((x ** 2**i for i in range(s)), spec.zero) == spec.one)
+    ext = make_ext(spec)
+    assert ext.m0 == beta and ext.m1 == spec.one
 
 def test_make_ext_odd_q_modulus():
     spec = make_field(3, 1)

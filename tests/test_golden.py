@@ -11,7 +11,10 @@ sigma on GF(2); and six invariants cases recorded before generation read
 the irreducibility criteria: --check on type 1 with D = 4 and m = 3 over
 GF(5), type 4 with D = 8 over GF(7), type 2 over GF(9), the hidden conjugates
 [4,2,1,1] over GF(5) and [6,6,2,3] over GF(9), and the GF(7) type-4 case
-again without --check.  Refactors must keep them.
+again without --check; and three paths that no other test runs: classify
+of a scalar matrix (the identity payload), count --method criterion off a
+multiple of the class order (criterion 0), and verify --suite criterion on
+GF(4), whose pairs are sampled.  Refactors must keep them.
 """
 
 import contextlib

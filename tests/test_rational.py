@@ -7,8 +7,8 @@ from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
                       ProjMat, RationalMap, act, classify, decompose,
                       element_of_order, enumerate_monic_irreducibles,
                       frobenius_q, generate_invariants, invariant_set,
-                      is_invariant, is_irreducible, make_field, monicize,
-                      q_map, reduce, reduced_type1, reduced_type2,
+                      is_invariant, is_irreducible, is_square, make_field,
+                      monicize, q_map, reduce, reduced_type1, reduced_type2,
                       reduced_type3, reduced_type4, substitute_mobius,
                       transform, try_descend)
 from pgl2poly import polynomials, rational
@@ -253,9 +253,32 @@ def test_criteria_match_the_reference_generator():
     for kind in (TYPE1, TYPE2, TYPE3, TYPE4):            # both outcomes of each
         assert {(kind, False, True), (kind, False, False)} <= outcomes
     assert {(TYPE2, True, True), (TYPE2, True, False)} <= outcomes   # trace to GF(p)
+    assert {(TYPE3, True, True), (TYPE3, True, False)} <= outcomes   # over GF(9)
     assert {(kind, True, parity) for kind in (TYPE1, TYPE4)
             for parity in (0, 1)} <= shapes                 # 4 | D, both parities
     assert lost                                           # m = 1 degree drops
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (3, 3)])
+def test_type3_criterion_matches_the_reference_over_extensions(p, s):
+    # the square test of y^2 - 4b per F, on the first three non-square b and
+    # a seeded conjugate of each, at D*m = 4 (GF(9) is in the grid above too)
+    spec = make_field(p, s)
+    rng = random.Random(27)
+    bs = [x for x in spec.elements() if x and not is_square(x)][:3]
+    outcomes = set()
+    for b in bs:
+        R = reduced_type3(spec, b)
+        P = _random_matrix(spec, rng)
+        for M in (R, P * R * P.inverse()):
+            Q, rf = q_map(M)
+            want, kept = _reference_generate(M, 2)
+            assert generate_invariants(M, 2) == want, M
+            passes = rational._criterion(rf, 2, 2)
+            for F, ok in kept.items():
+                assert bool(passes(F)) == ok, (M, F)
+                outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 PIN_CASES = [((5, 1), (2, 0, 0, 1), 3), ((7, 1), (0, 1, 4, 1), 2),

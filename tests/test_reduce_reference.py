@@ -4,15 +4,21 @@ closed-form root and conjugator helpers replaced.
 The scans below are the reference: each runs over all of GF(q), GF(q^2) or
 the q^2 points of the conjugator kernel, so it is correct by inspection.
 Patching them into projective and rerunning must reproduce every output.
+The type-2 conjugator is also checked against reduce's former branch, which
+gave the identity to every multiple of the unipotent before its general
+construction.
 """
 
 import functools
 import itertools
+import random
 
 import pytest
 
-from pgl2poly import (IDENTITY, Mat2, classify, embed, make_ext, make_field,
-                      power_closed_form, projective, reduce)
+from pgl2poly import (IDENTITY, TYPE2, Mat2, all_classes, classify, embed,
+                      make_ext, make_field, power_closed_form, projective,
+                      proj_eq, reduce, reduced_type2)
+from pgl2poly.verify import _random_matrix
 from test_linalg import felt_nullspace
 
 
@@ -124,3 +130,51 @@ def test_quadratic_roots_match_scan(p, s):
     spec = make_field(p, s)
     for c0, c1 in itertools.product(spec.elements(), repeat=2):
         assert projective._quadratic_roots(c0, c1) == scan_quadratic_roots(c0, c1)
+
+
+def reference_type2_conjugator(m):
+    # reduce's type-2 branch with its identity shortcut: [u | N u] for the
+    # nilpotent N = m/lam - I, lam the double root of x^2 - tr x + det
+    spec = m.spec
+    if proj_eq(m, reduced_type2(spec)):
+        return Mat2.identity(spec)
+    lam = next(x for x in spec.elements()
+               if x and x * x - m.trace * x + m.det == spec.zero)
+    nil = m.scale(lam.inverse())
+    n_a, n_b = nil.a - spec.one, nil.b
+    n_c, n_d = nil.c, nil.d - spec.one
+    u = (spec.one, spec.zero) if (n_a or n_c) else (spec.zero, spec.one)
+    nu = (n_a * u[0] + n_b * u[1], n_c * u[0] + n_d * u[1])
+    return Mat2(u[0], nu[0], u[1], nu[1])
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_type2_conjugator_of_a_scaled_unipotent_is_the_identity(p, s):
+    # N = [[0,0],[1,0]] gives u = e1 and N u = e2 for every lam
+    spec = make_field(p, s)
+    for lam in spec.elements():
+        if lam:
+            rf = reduce(reduced_type2(spec).scale(lam))
+            assert rf.conjugator == Mat2.identity(spec), lam
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_type2_conjugator_matches_the_identity_branch_on_every_class(p, s):
+    spec = make_field(p, s)
+    reps = [cls.rep for cls in all_classes(spec) if classify(cls.rep).kind == TYPE2]
+    assert len(reps) == spec.order**2 - 1            # |PGL2| / |centralizer|
+    for m in reps:
+        assert reduce(m).conjugator == reference_type2_conjugator(m), m
+
+
+@pytest.mark.parametrize("p,s", [(5, 2), (3, 3), (7, 2)])
+def test_type2_conjugator_matches_the_identity_branch_on_conjugates(p, s):
+    spec = make_field(p, s)
+    rng = random.Random(25)
+    unipotent = reduced_type2(spec)
+    for _ in range(60):
+        P = _random_matrix(spec, rng)
+        lam = spec.from_encoding(rng.randrange(1, spec.order))
+        m = (P * unipotent * P.inverse()).scale(lam)
+        assert reduce(m).conjugator == reference_type2_conjugator(m), m
