@@ -24,9 +24,10 @@ from math import gcd as int_gcd
 from . import linalg
 from .fields import FieldSpec
 from .numutil import MAX_ORDER
-from .polynomials import (Poly, _add_logs, _form, _frobenius, _from_logs,
-                          _same, divrem, enumerate_monic_irreducibles,
-                          form_matrix, is_irreducible, monicize)
+from .polynomials import (Poly, _add_logs, _frobenius, _from_logs,
+                          _mobius_form, _same, divrem,
+                          enumerate_monic_irreducibles, form_matrix,
+                          is_irreducible, monicize)
 from .projective import ContractError, Mat2, ProjMat, lucas_order
 
 
@@ -38,14 +39,16 @@ def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
 
 def act(m: Mat2, f: Poly) -> Poly:
     """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f, one
-    polynomials._form on the logs of the two columns of m."""
+    polynomials._mobius_form on the logs of the two columns of m: Taylor
+    shifts and scalings, about half the term operations of the Horner form
+    and no polynomial product."""
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
     spec = m.spec
     _same(spec, f.ring)
     log = spec.log
-    return _form(spec, f.coeffs, [log[m.c.n], log[m.a.n]],
-                 [log[m.d.n], log[m.b.n]], f.degree)
+    return _mobius_form(spec, f.coeffs, log[m.c.n], log[m.a.n],
+                        log[m.d.n], log[m.b.n], f.degree)
 
 
 def star_act(m: Mat2, f: Poly) -> Poly:

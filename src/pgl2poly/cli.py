@@ -114,7 +114,7 @@ def cmd_invariants(args, m, payload) -> int:
     checked = True
     if args.check:
         checked = payload["checked"] = all(_checked_invariant(cls, f) for f in polys)
-    texts = [to_text(f) for f in polys] or ["(none)"]     # json ignores the rows
+    texts = [f["text"] for f in payload["invariants"]] or ["(none)"]
     _emit(payload, args.format, [{"degree": D * args.m, "invariant": t} for t in texts])
     return 0 if checked else 1
 

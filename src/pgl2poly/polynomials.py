@@ -17,10 +17,12 @@ characteristic p the p-th power is linear, (sum a_i x^i)^p = sum a_i^p x^(ip),
 so a step can be s spreads of the logs and s remainders with no product
 (_frobenius_step).  The walk takes it when its term count is at most that of
 square-and-multiply (_pow_logs): always for p <= 7 and for the sparse
-criterion polynomials, for dense f past p = 11 only at low degree.  homogenize (and
-act, and rational's transforms) is one Horner loop, _form, on term lists of u
-and v built once, with logs unreduced until its one result; form_matrix
-returns logs, the linalg rows.
+criterion polynomials, for dense f past p = 11 only at low degree.  homogenize and
+rational's transform (u, v of any degree) are one Horner loop, _form, on term
+lists of u and v built once, with logs unreduced until its one result; act and
+substitute_mobius (u = ax + c, v = bx + d, an invertible matrix's columns) are
+_mobius_form, two Taylor shifts and scalings on one log list, about half the
+term operations, no product; form_matrix returns logs, the linalg rows.
 """
 
 from __future__ import annotations
@@ -348,7 +350,6 @@ def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
     tu = [(j, t) for j, t in enumerate(lu) if t >= 0]
     tv = [(j, t) for j, t in enumerate(lv) if t >= 0]
     du, dv = len(lu) - 1, len(lv) - 1
-    low = next((i for i, c in enumerate(coeffs) if c), 0)     # lowest nonzero c_i
     acc, vp = [], [0]                              # vp = v^(k-i), logs
     for i in range(k, -1, -1):
         c = log[coeffs[i]] if i <= top else -1
@@ -356,12 +357,62 @@ def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
         nxt += [-1] * (len(acc) + du - len(nxt))
         _mul_into(zech, m, nxt, acc, tu)
         acc = nxt
-        if i > low:                                # no term below low reads vp
+        if i:
             nxt = [-1] * (len(vp) + dv)
             _mul_into(zech, m, nxt, vp, tv)
             vp = nxt
     exp = ring.exp
     return _poly(ring, [exp[x % m] if x >= 0 else 0 for x in acc])
+
+
+def _mobius_form(ring, coeffs, c: int, a: int, d: int, b: int, k: int) -> Poly:
+    # homogenize for u = a*x + c, v = b*x + d given by logs, with no product.
+    # For b != 0, y = x + d/b gives v = b*y, u = a*y + B, B = (bc - ad)/b, so
+    # v^k C(u/v) = sum_j C1_j B^j (b*y)^(k-j), C1 = C(x + a/b): a shift, the
+    # scalings by B^j and b^l around a reversal into degree k, a shift.  For
+    # b = 0 it is d^k C((a/d)(x + c/a)).  Logs stay unreduced until the result
+    log, zech, m = ring.log, ring.zech, ring.order - 1
+    bc, ad = ([x + y] if x >= 0 and y >= 0 else [] for x, y in ((b, c), (a, d)))
+    det = _add_logs(ring, bc, ad, ring.neg)        # [log(bc - ad)] or []
+    if not det:
+        from .projective import ContractError      # projective loads after this module
+        raise ContractError("the Moebius columns are proportional: ad = bc")
+    t = [log[e] for e in coeffs]
+    if b >= 0:
+        if a >= 0:
+            _taylor_shift(zech, m, t, (a - b) % m)
+        lB, t = (det[0] - b) % m, t[k::-1]
+        t = [-1] * (k + 1 - len(t)) + t            # C1_(k-l) at l
+        t = [x + (k - l) * lB + l * b if x >= 0 else -1 for l, x in enumerate(t)]
+        while t and t[-1] < 0:
+            t.pop()
+        if d >= 0:
+            _taylor_shift(zech, m, t, (d - b) % m)
+    else:
+        r = (a - d) % m
+        t = [x + j * r + k * d if x >= 0 else -1 for j, x in enumerate(t)]
+        if c >= 0:
+            _taylor_shift(zech, m, t, (c - a) % m)
+    exp = ring.exp
+    return _poly(ring, [exp[x % m] if x >= 0 else 0 for x in t])
+
+
+def _taylor_shift(zech, m: int, t: list, s: int):
+    # t(x + g^s) in place by synthetic division: pass i sets t[j] += g^s *
+    # t[j+1] for j from the top down to i (von zur Gathen-Gerhard, ISSAC 1997)
+    n = len(t) - 1
+    for i in range(n):
+        y = t[n]                                   # the new t[j+1]
+        for j in range(n - 1, i - 1, -1):
+            x = t[j]
+            if y < 0:
+                y = x
+            else:
+                y += s
+                if x >= 0:
+                    z = zech[(y - x) % m]
+                    y = x + z if z >= 0 else -1
+                t[j] = y
 
 
 def form_matrix(u: Poly, v: Poly, k: int, height: int) -> list:

@@ -32,12 +32,12 @@ from math import comb, gcd as int_gcd
 
 from . import linalg
 from .fields import is_square, trace
-from .polynomials import (Poly, _form, _from_logs, _logs, _reducer, _rem_logs,
-                          _same, divrem, enumerate_monic_irreducibles,
-                          form_matrix, gcd, monicize)
+from .polynomials import (Poly, _form, _from_logs, _logs, _mobius_form,
+                          _reducer, _rem_logs, _same, divrem,
+                          enumerate_monic_irreducibles, form_matrix, gcd,
+                          monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, lucas, reduce)
-from .action import _linear_forms
 
 
 class RationalMap(namedtuple("RationalMap", "num den degree")):
@@ -107,22 +107,27 @@ def q_map(m: Mat2) -> QConstruction:
     out = RationalMap(num, den, D)
     if gcd(num, den) != Poly.one(m.spec):
         raise ContractError("num and den must be coprime")
+    # fixed: sub = lam * (num, den), lam read off the monic side; for a
+    # coprime pair, exactly when sub.num * den == sub.den * num
     sub = substitute_mobius(out, m)
-    if sub.num * den != sub.den * num:
+    side = (sub.den if den.degree == D else sub.num).coeffs
+    lam = spec.from_encoding(side[D] if len(side) > D else 0)
+    if (sub.num, sub.den) != (num.scale(lam), den.scale(lam)):
         raise ContractError("map must be fixed by its own Moebius substitution")
     return QConstruction(out, rf)
 
 
 def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
     """Q((ax+c)/(bx+d)) as the pair of degree-Q.degree forms in (ax+c, bx+d),
-    not reduced: compare it with Q by cross-multiplying, or normalize both."""
-    n = Q.degree
-    _same(m.spec, Q.num.ring)
+    each one polynomials._mobius_form on the logs of m's columns; not
+    reduced: compare it with Q by cross-multiplying, or normalize both."""
+    n, spec = Q.degree, m.spec
+    _same(spec, Q.num.ring)
     if n < max(Q.num.degree, Q.den.degree):
         raise ValueError(f"map degree {n} is below the degree of its num or den")
-    lu, lv = map(_logs, _linear_forms(m))
-    return RationalMap(_form(m.spec, Q.num.coeffs, lu, lv, n),
-                       _form(m.spec, Q.den.coeffs, lu, lv, n), n)
+    cols = [spec.log[e.n] for e in (m.c, m.a, m.d, m.b)]
+    return RationalMap(_mobius_form(spec, Q.num.coeffs, *cols, n),
+                       _mobius_form(spec, Q.den.coeffs, *cols, n), n)
 
 
 def transform(F: Poly, Q: RationalMap) -> Poly:

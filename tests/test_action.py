@@ -12,6 +12,7 @@ from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
                       proj_act, reciprocal, reduced_type2, reduced_type3,
                       reduced_type4, star_act, subgroup_closure)
 from pgl2poly import action, polynomials, verify
+from pgl2poly.rational import RationalMap, substitute_mobius
 from pgl2poly.verify import type_representatives
 from test_counting import _count_walk_steps
 from test_polynomials import _naive_form
@@ -42,7 +43,8 @@ def test_act_translation_char2(F2):
 def test_act_matches_linear_forms_reference(p, s):
     # act on logs read off the matrix against power lists of the linear forms
     # a*x + c and b*x + d, for every invertible matrix (b = 0 and a = 0
-    # included) and random f of degree 0..6
+    # included) and random f of degree 0..6; substitute_mobius on the same
+    # columns, with the map degree one above f's
     spec = make_field(p, s)
     rng = random.Random(p * 10 + s)
     q = spec.order
@@ -55,6 +57,9 @@ def test_act_matches_linear_forms_reference(p, s):
         for deg in range(7):
             f = Poly(spec, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
             assert act(m, f) == _naive_form(f.coeffs, u, v, deg)
+        g = Poly(spec, [rng.randrange(q) for _ in range(4)])
+        assert substitute_mobius(RationalMap(f, g, 7), m) == (
+            _naive_form(f.coeffs, u, v, 7), _naive_form(g.coeffs, u, v, 7), 7)
 
 def test_act_rejects_zero(F2):
     with pytest.raises(ValueError):

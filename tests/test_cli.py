@@ -78,6 +78,20 @@ def test_failed_map_check_exits_one_under_optimize():
         ["qmap", "--p", "5", "--matrix", "0,1,4,1"],
         "map must be fixed by its own Moebius substitution")
 
+@pytest.mark.parametrize("side,argv", [
+    ("num", ["qmap", "--p", "7", "--matrix", "0,1,6,1"]),     # den of degree D
+    ("den", ["qmap", "--p", "5", "--matrix", "0,1,4,1"]),     # num of degree D
+])
+def test_one_scaled_side_fails_the_map_check_under_optimize(side, argv):
+    # a Moebius substitution that scales one side by 2 leaves a pair that is
+    # not lam * (num, den); lam is read off the other side, so only the
+    # comparison of the scaled side sees it
+    _assert_internal_failure_under_optimize(
+        "rational.substitute_mobius = lambda Q, m, sub=rational.substitute_mobius: "
+        f"(lambda s: s._replace({side}=s.{side}.scale(m.spec.from_encoding(2))))"
+        "(sub(Q, m))",
+        argv, "map must be fixed by its own Moebius substitution")
+
 def test_failed_order_check_exits_one_under_optimize():
     # with no admissible divisors the order 4 of diag(2, 1) over GF(5) is
     # rejected by projective.lucas

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -7,8 +8,9 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
                       is_irreducible, make_field, monic_polys, monicize,
                       pow_mod, reciprocal, to_text)
 from pgl2poly import action, polynomials
+from pgl2poly.rational import RationalMap, substitute_mobius
 from pgl2poly.numutil import divisors
-from pgl2poly.projective import all_classes
+from pgl2poly.projective import ContractError, all_classes
 from pgl2poly.verify import type_representatives
 
 
@@ -474,6 +476,53 @@ def test_form_kernel_matches_power_lists(ring):
             assert homogenize(coeffs, u, v, k) == want
             assert polynomials._form(ring, tuple(coeffs), polynomials._logs(u) + [-1],
                                      polynomials._logs(v) + [-1], k) == want
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_mobius_form_matches_power_lists_on_every_class(p, s):
+    # polynomials._mobius_form on the columns a*x + c and b*x + d of every
+    # class, each of a, b, c and d zero for some class, against power lists:
+    # coefficient lists with a zero lowest or a zero highest entry, and k up
+    # to two above the degree; k = 30 keeps the logs unreduced over long shifts
+    ring = make_field(p, s)
+    log, q = ring.log, ring.order
+    rng = random.Random(q * 7 + s)
+    mats = [cls.rep for cls in all_classes(ring)]
+    for entry in "abcd":
+        assert any(not getattr(m, entry) for m in mats)
+    for i, m in enumerate(mats):
+        u, v = action._linear_forms(m)
+        cols = [log[e.n] for e in (m.c, m.a, m.d, m.b)]
+        for trial in range(3):
+            coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
+            if trial:
+                coeffs[0 if trial == 1 else -1] = 0    # zero lowest or highest
+            top = Poly(ring, coeffs).degree
+            for k in [*range(max(top, 0), top + 3), *([30] if i % 50 == 0 else [])]:
+                assert polynomials._mobius_form(ring, tuple(coeffs), *cols, k) == (
+                    _naive_form(coeffs[:top + 1], u, v, k))
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2)])
+def test_mobius_form_rejects_proportional_columns(p, s):
+    # every singular [[a, b], [c, d]], a zero column included
+    ring = make_field(p, s)
+    log = ring.log
+    for a, b, c, d in product(ring.elements(), repeat=4):
+        if a * d == b * c:
+            with pytest.raises(ContractError):
+                polynomials._mobius_form(ring, (1, 1), log[c.n], log[a.n],
+                                         log[d.n], log[b.n], 1)
+
+def test_act_and_substitute_mobius_make_no_product(monkeypatch):
+    # the Moebius form is two Taylor shifts and scalings; the Horner loop it
+    # replaced made 2(k + 1) _mul_into calls per form
+    F7 = make_field(7, 1)
+    m = Mat2.from_encodings(F7, (2, 3, 5, 1))
+    f = Poly(F7, [1, 0, 4, 6, 0, 2, 3])
+    calls = []
+    monkeypatch.setattr(polynomials, "_mul_into", lambda *args: calls.append(args))
+    act(m, f)
+    substitute_mobius(RationalMap(f, Poly.x(F7), 7), m)
+    assert calls == []
 
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level
