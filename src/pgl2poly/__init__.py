@@ -7,19 +7,18 @@ from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, artin_schreier_root,
                      make_ext, make_field, smallest_nonsquare, sqrt,
                      try_descend)
 from .polynomials import (Poly, divides, divrem, enumerate_monic_irreducibles,
-                          gcd, homogenize, is_irreducible, monic_polys,
-                          monicize, pow_mod, reciprocal, to_text)
+                          gcd, is_irreducible, monic_polys, monicize, pow_mod,
+                          to_text)
 from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
                          Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
                          classify, element_of_order, lucas, power_closed_form,
                          proj_eq, reduce, reduced_type1, reduced_type2,
                          reduced_type3, reduced_type4, sigma_product)
 from .action import (F_poly, act, common_invariants, criterion_invariant,
-                     group_invariant, invariant_set, is_cyclic, is_invariant,
-                     proj_act, star_act, subgroup_closure)
-from .rational import (QConstruction, RationalMap, decompose,
-                       generate_invariants, q_map, substitute_mobius,
-                       transform)
+                     invariant_set, is_cyclic, is_invariant, proj_act,
+                     subgroup_closure)
+from .rational import (QConstruction, RationalMap, generate_invariants, q_map,
+                       substitute_mobius, transform)
 from .counting import (asymptotic_ratio, count_factors_of_degree,
                        count_invariants_bruteforce, count_invariants_formula,
                        count_via_criterion, eta, euler_phi, mobius_inversion,

@@ -6,13 +6,14 @@ Fixed points of the class action are characterized by divisibility into
 the criterion polynomials b*x^(q^r + 1) - a*x^(q^r) + d*x - c.
 
 The raw action on forms of degree n is linear in the coefficients: an
-(n+1) x (n+1) matrix M, built from the images of 1, x, ..., x^n.  A monic
-irreducible f of degree n is fixed by the class exactly when M f = lam * f
-for some nonzero lam, so common_invariants finds the invariants of a list of
-classes in their joint eigenspaces, with no scan over the irreducibles.  The
-matrix, the eigenvalues and the kernel vectors are discrete logs throughout.
-is_invariant, proj_act and act are the direct definition; the tests check
-the eigenspace search against them.
+(n+1) x (n+1) matrix M whose columns are the images of 1, x, ..., x^n,
+polynomials.form_matrix on the logs of the columns of A that act hands to
+polynomials._mobius_form.  A monic irreducible f of degree n is fixed by the
+class exactly when M f = lam * f for some nonzero lam, so common_invariants
+finds the invariants of a list of classes in their joint eigenspaces, with no
+scan over the irreducibles.  The matrix, the eigenvalues and the kernel
+vectors are discrete logs throughout.  is_invariant, proj_act and act are the
+direct definition; the tests check the eigenspace search against them.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from .polynomials import (Poly, _add_logs, _frobenius, _from_logs,
 from .projective import ContractError, Mat2, ProjMat, lucas_order
 
 
-def _linear_forms(m: Mat2) -> tuple[Poly, Poly]:
-    # the two columns of m, read as a*x + c and b*x + d
-    spec = m.spec
-    return Poly(spec, (m.c.n, m.a.n)), Poly(spec, (m.d.n, m.b.n))
-
-
 def act(m: Mat2, f: Poly) -> Poly:
     """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f, one
     polynomials._mobius_form on the logs of the two columns of m: Taylor
@@ -49,11 +44,6 @@ def act(m: Mat2, f: Poly) -> Poly:
     log = spec.log
     return _mobius_form(spec, f.coeffs, log[m.c.n], log[m.a.n],
                         log[m.d.n], log[m.b.n], f.degree)
-
-
-def star_act(m: Mat2, f: Poly) -> Poly:
-    """The transposed-matrix variant of the action."""
-    return act(m.transpose(), f)
 
 
 def _check_actable(f: Poly):
@@ -154,11 +144,6 @@ def is_cyclic(group) -> bool:
     return any(g.order() == n for g in members)
 
 
-def group_invariant(generators, f: Poly) -> bool:
-    """True iff every generator (hence the whole closure) fixes f."""
-    return all(is_invariant(g, f) for g in generators)
-
-
 def _kernel(spec: FieldSpec, rows) -> list:
     # linalg.nullspace, each basis vector checked: the columns it weights sum to 0
     basis = linalg.nullspace(spec, rows)
@@ -196,8 +181,9 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
     for cls in classes:
         if cls.is_identity():
             continue
-        D, mu = lucas_order(cls.rep)
-        M = form_matrix(*_linear_forms(cls.rep), n, n + 1)
+        rep = cls.rep
+        D, mu = lucas_order(rep)
+        M = form_matrix(spec, log[rep.c.n], log[rep.a.n], log[rep.d.n], log[rep.b.n], n)
         target = log[mu.n] * n
         eigen.append([[row[:i] + (_add_logs(spec, row[i:i + 1], [lam], spec.neg)
                                   or [-1]) + row[i + 1:]

@@ -1,11 +1,10 @@
-"""Tiny exact linear algebra over a field spec: nullspace, and solve as one
-kernel vector of the augmented matrix.
+"""Tiny exact linear algebra over a field spec: the nullspace of a matrix.
 
-Rows, right-hand sides and solutions are lists of discrete logs (-1 for
-zero), the log lists of the polynomial kernels; row updates are
-polynomials._add_logs, so elimination looks up the Zech table and builds no
-field elements.  Systems here are at most a few hundred rows (coefficient
-matching in decompose, eigenspaces of the action in common_invariants).
+Rows and kernel vectors are lists of discrete logs (-1 for zero), the log
+lists of the polynomial kernels; row updates are polynomials._add_logs, so
+elimination looks up the Zech table and builds no field elements.  Systems
+here are the eigenspaces of the action in common_invariants, at most a few
+hundred rows.
 """
 
 from __future__ import annotations
@@ -33,18 +32,6 @@ def _eliminate(rows, width, spec):
         if r == len(rows):
             break
     return pivots
-
-
-def solve(spec, matrix, rhs):
-    """One solution of matrix * x = rhs (free variables zero), or None: x is
-    the last kernel vector of [matrix | -rhs] without its last entry, when
-    that entry is 1 (the last column is free exactly when x exists)."""
-    if not matrix:
-        return []
-    m = spec.order - 1
-    basis = nullspace(spec, [list(row) + [(b + spec.neg) % m if b >= 0 else -1]
-                             for row, b in zip(matrix, rhs)])
-    return basis[-1][:-1] if basis and basis[-1][-1] == 0 else None
 
 
 def nullspace(spec, matrix):

@@ -3,26 +3,28 @@
 Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
-.coeffs, homogenize); single field values are Felt (lc, evaluation, scale,
-monomial).  Arithmetic runs on log lists (log_g of each coefficient,
--1 for zero) in three kernels: _mul_into (acc += a*b, b given by its
-nonzero terms), _add_logs (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and
-_rem_logs (division by -g/lc, taken once per divisor by _reducer).  Logs may
-pass q - 1 inside a kernel; _mul_into leaves them so, and _mul_logs (one
-product), _add_logs and _rem_logs return them reduced mod q - 1, trimmed.
-pow_mod, gcd and is_irreducible chain these and convert from and to
-encodings once per call; _frobenius walks x^(q^i) mod f by q-th powers on one
-reducer for Ben-Or, the factor counts and the criterion test.  In
-characteristic p the p-th power is linear, (sum a_i x^i)^p = sum a_i^p x^(ip),
-so a step can be s spreads of the logs and s remainders with no product
-(_frobenius_step).  The walk takes it when its term count is at most that of
-square-and-multiply (_pow_logs): always for p <= 7 and for the sparse
-criterion polynomials, for dense f past p = 11 only at low degree.  homogenize and
-rational's transform (u, v of any degree) are one Horner loop, _form, on term
-lists of u and v built once, with logs unreduced until its one result; act and
-substitute_mobius (u = ax + c, v = bx + d, an invertible matrix's columns) are
-_mobius_form, two Taylor shifts and scalings on one log list, about half the
-term operations, no product; form_matrix returns logs, the linalg rows.
+.coeffs); single field values are Felt (lc, evaluation, scale, monomial).
+Arithmetic runs on log lists (log_g of each coefficient, -1 for zero) in three
+kernels: _mul_into (acc += a*b, b given by its nonzero terms), _add_logs
+(g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
+-g/lc, taken once per divisor by _reducer).  Logs may pass q - 1 inside a
+kernel; _mul_into leaves them so, and _mul_logs (one product), _add_logs and
+_rem_logs return them reduced mod q - 1, trimmed.  pow_mod, gcd and
+is_irreducible chain these and convert from and to encodings once per call;
+_frobenius walks x^(q^i) mod f by q-th powers on one reducer for Ben-Or, the
+factor counts and the criterion test.  In characteristic p the p-th power is
+linear, (sum a_i x^i)^p = sum a_i^p x^(ip), so a step can be s spreads of the
+logs and s remainders with no product (_frobenius_step).  The walk takes it
+when its term count is at most that of square-and-multiply (_pow_logs):
+always for p <= 7 and for the sparse criterion polynomials, for dense f past
+p = 11 only at low degree.  The binary form sum c_i u^i v^(k-i) of
+rational's transform (u, v of any degree) is one Horner loop, _form, on term
+lists of u and v built once, with logs unreduced until its one result; act
+and substitute_mobius (u = ax + c, v = bx + d, an invertible matrix's
+columns) take _mobius_form, two Taylor shifts and scalings on one log list,
+about half the term operations, no product; the eigenspace search takes
+form_matrix, the form's matrix on the same column logs, as rows of logs for
+linalg.nullspace.
 """
 
 from __future__ import annotations
@@ -330,29 +332,18 @@ def _gcd_logs(ring, a: list, b: list) -> list:
     return a
 
 
-def homogenize(coeffs, u: Poly, v: Poly, k: int) -> Poly:
-    """The binary form sum of coeffs[i] * u^i * v^(k-i), for coefficient
-    encodings coeffs and k >= their degree: the checks, then _form."""
-    ring = u.ring
-    _same(ring, v.ring)
-    coeffs = _checked(ring, coeffs)
-    top = len(coeffs) - 1
-    if k < top:
-        raise ValueError(f"form degree {k} is below the coefficient degree {top}")
-    return _form(ring, coeffs, _logs(u), _logs(v), k)
-
-
-def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
-    # homogenize for valid coeffs and u, v given by logs (trailing -1s allowed),
-    # by Horner: acc <- acc*u + c_i*v^(k-i), then v^(k-i) <- v^(k-i)*v, on term
-    # lists of u and v built once, with logs unreduced until the result
-    log, zech, m, top = ring.log, ring.zech, ring.order - 1, len(coeffs) - 1
+def _form(ring, coeffs, lu: list, lv: list) -> Poly:
+    # the binary form sum of c_i * u^i * v^(k-i), k = len(coeffs) - 1, for
+    # valid coeffs and u, v given by logs (trailing -1s allowed), by Horner:
+    # acc <- acc*u + c_i*v^(k-i), then v^(k-i) <- v^(k-i)*v, on term lists of
+    # u and v built once, with logs unreduced until the result
+    log, zech, m = ring.log, ring.zech, ring.order - 1
     tu = [(j, t) for j, t in enumerate(lu) if t >= 0]
     tv = [(j, t) for j, t in enumerate(lv) if t >= 0]
     du, dv = len(lu) - 1, len(lv) - 1
     acc, vp = [], [0]                              # vp = v^(k-i), logs
-    for i in range(k, -1, -1):
-        c = log[coeffs[i]] if i <= top else -1
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = log[coeffs[i]]
         nxt = [t + c if t >= 0 else -1 for t in vp] if c >= 0 else []
         nxt += [-1] * (len(acc) + du - len(nxt))
         _mul_into(zech, m, nxt, acc, tu)
@@ -366,7 +357,7 @@ def _form(ring, coeffs, lu: list, lv: list, k: int) -> Poly:
 
 
 def _mobius_form(ring, coeffs, c: int, a: int, d: int, b: int, k: int) -> Poly:
-    # homogenize for u = a*x + c, v = b*x + d given by logs, with no product.
+    # _form in degree k for u = a*x + c, v = b*x + d given by logs, no product.
     # For b != 0, y = x + d/b gives v = b*y, u = a*y + B, B = (bc - ad)/b, so
     # v^k C(u/v) = sum_j C1_j B^j (b*y)^(k-j), C1 = C(x + a/b): a shift, the
     # scalings by B^j and b^l around a reversal into degree k, a shift.  For
@@ -415,19 +406,18 @@ def _taylor_shift(zech, m: int, t: list, s: int):
                 t[j] = y
 
 
-def form_matrix(u: Poly, v: Poly, k: int, height: int) -> list:
-    """The matrix of the linear map coeffs -> homogenize(coeffs, u, v, k) on
-    coefficient vectors of length k + 1: height rows of logs (-1 for zero),
-    with the coefficients of u^i * v^(k-i) down column i, each column one
-    product from the power lists u^0..u^k and v^0..v^k."""
-    ring = u.ring
-    _same(ring, v.ring)
-    lu, lv, up, vp = _logs(u), _logs(v), [[0]], [[0]]
+def form_matrix(ring, c: int, a: int, d: int, b: int, k: int) -> list:
+    """The matrix of the linear map coeffs -> sum of coeffs[i] * u^i * v^(k-i)
+    on coefficient vectors of length k + 1, for u = a*x + c and v = b*x + d
+    given by logs as in _mobius_form: k + 1 rows of logs (-1 for zero), with
+    the coefficients of u^i * v^(k-i) down column i, each column one product
+    from the power lists u^0..u^k and v^0..v^k."""
+    lu, lv, up, vp = [c, a], [d, b], [[0]], [[0]]
     for _ in range(k):
         up.append(_mul_logs(ring, up[-1], lu))
         vp.append(_mul_logs(ring, vp[-1], lv))
     cols = [_mul_logs(ring, up[i], vp[k - i]) for i in range(k + 1)]
-    return [[col[j] if j < len(col) else -1 for col in cols] for j in range(height)]
+    return [[col[j] if j < len(col) else -1 for col in cols] for j in range(k + 1)]
 
 
 def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
@@ -485,13 +475,6 @@ def _frobenius(f: Poly, steps) -> Iterator[list]:
             t = _frobenius_step(ring, t, red) if spread else _pow_logs(ring, t, q, red)
             i += 1
         yield t
-
-
-def reciprocal(f: Poly) -> Poly:
-    """x^deg(f) * f(1/x): the coefficient sequence reversed."""
-    if not f:
-        raise ValueError("reciprocal of the zero polynomial")
-    return _poly(f.ring, f.coeffs[::-1])
 
 
 @functools.lru_cache(maxsize=1 << 17)

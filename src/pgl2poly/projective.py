@@ -343,20 +343,16 @@ def reduce(m: Mat2) -> ReducedForm:
         conj = (_invertible(spec.one, n_a, spec.zero, n_c) if n_a or n_c
                 else _invertible(spec.zero, n_b, spec.one, n_d))
         eig = roots[0]
-    elif info.kind == TYPE3:
-        red = reduced_type3(spec, info.param)
-        if proj_eq(m, red):
-            conj = Mat2.identity(spec)
-        else:
-            conj = _min_encoding_conjugator(m, red)
-        eig = roots[0]                  # m's x^2 + det is the reduced x^2 - b
-    else:
-        red = reduced_type4(spec, info.param)
-        if proj_eq(m, red):
-            conj = Mat2.identity(spec)
-        else:
-            conj = _min_encoding_conjugator(m.scale(m.trace.inverse()), red)
-        eig = _quadratic_roots(-info.param, -spec.one)[0]
+    else:                       # [[0, 1], [c, t]], conjugate to m or to m/tr
+        if info.kind == TYPE3:
+            red, inv = reduced_type3(spec, info.param), None
+            eig = roots[0]              # m's x^2 + det is the reduced x^2 - b
+        else:                           # m/tr has eigenvalues r/tr, x^2 - x - c
+            red, inv = reduced_type4(spec, info.param), m.trace.inverse()
+            eig = min((ExtElt(r.ext, r.u * inv, r.v * inv) for r in roots),
+                      key=ExtElt.encode)
+        conj = (Mat2.identity(spec) if proj_eq(m, red) else
+                _min_encoding_conjugator(m if inv is None else m.scale(inv), red))
 
     if not proj_eq(conj * red, m * conj):               # conj is invertible
         raise ContractError("conjugation identity failed")

@@ -1,12 +1,14 @@
 """Degree-D rational maps whose transforms generate every invariant.
 
-For a non-identity class of order D there is a rational function
-Q = num/den of degree D, fixed by the Moebius substitution of the class,
-such that the invariants of degree D*m are exactly the monic rescalings of
-den^m * F(num/den) with F of degree m.  Q is the reduced map Q_red of the
-class's type, x^D, x^p - x, x + b/x or g/h, after the Moebius change by the
-class's conjugator.  The coefficients of g and h are the order's own
-sequence: the Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
+For a non-identity class of order D there is a rational function Q = num/den
+of degree D, fixed by the Moebius substitution of the class, such that the
+invariants of degree D*m are exactly the monic rescalings of
+den^m * F(num/den) with F of degree m, transform: the binary form of F in num and den,
+polynomials._form.  F, num, den and the matrix of substitute_mobius lie over
+one field; a mix raises ValueError.  Q is the reduced map Q_red of the class's
+type, x^D, x^p - x, x + b/x or g/h, after the Moebius change by the class's
+conjugator.  The coefficients of g and h are the order's own sequence: the
+Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
 
 Which F give an irreducible transform is decided from F alone, with no
 irreducibility test on the degree-D*m result.  The Moebius change keeps
@@ -30,12 +32,10 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb, gcd as int_gcd
 
-from . import linalg
 from .fields import is_square, trace
-from .polynomials import (Poly, _form, _from_logs, _logs, _mobius_form,
-                          _reducer, _rem_logs, _same, divrem,
-                          enumerate_monic_irreducibles, form_matrix, gcd,
-                          monicize)
+from .polynomials import (Poly, _form, _logs, _mobius_form, _reducer,
+                          _rem_logs, _same, divrem,
+                          enumerate_monic_irreducibles, gcd, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
                          ReducedForm, lucas, reduce)
 
@@ -123,6 +123,7 @@ def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
     reduced: compare it with Q by cross-multiplying, or normalize both."""
     n, spec = Q.degree, m.spec
     _same(spec, Q.num.ring)
+    _same(spec, Q.den.ring)
     if n < max(Q.num.degree, Q.den.degree):
         raise ValueError(f"map degree {n} is below the degree of its num or den")
     cols = [spec.log[e.n] for e in (m.c, m.a, m.d, m.b)]
@@ -135,7 +136,8 @@ def transform(F: Poly, Q: RationalMap) -> Poly:
     if not F:
         raise ValueError("transform of the zero polynomial")
     _same(F.ring, Q.num.ring)
-    return _form(F.ring, F.coeffs, _logs(Q.num), _logs(Q.den), F.degree)
+    _same(F.ring, Q.den.ring)
+    return _form(F.ring, F.coeffs, _logs(Q.num), _logs(Q.den))
 
 
 def _by_ratio(spec, c0, c1, test):
@@ -222,23 +224,3 @@ def generate_invariants(m: Mat2, mdeg: int) -> list[Poly]:
                 raise ContractError("a transform that passed the criterion lost degree")
             found.append(monicize(t)[1])
     return sorted(found, key=Poly.encode)
-
-
-def decompose(f: Poly, Q: RationalMap) -> Poly:
-    """The monic F with monicize(transform(F, Q)) = f, recovered by solving
-    the linear system in the coefficients of F; raises when f is not a
-    transform (which signals non-invariance)."""
-    if not f:
-        raise ValueError("cannot decompose the zero polynomial")
-    D = Q.degree
-    if f.degree % D:
-        raise ValueError(f"degree {f.degree} is not a multiple of {D}")
-    mdeg = f.degree // D
-    rows = form_matrix(Q.num, Q.den, mdeg, f.degree + 1)
-    sol = linalg.solve(f.ring, rows, _logs(f))
-    if sol is None:
-        raise ValueError("polynomial is not a transform under this map")
-    F = _from_logs(f.ring, sol)
-    if not F:
-        raise ContractError("decomposition produced the zero polynomial")
-    return monicize(F)[1]

@@ -7,15 +7,14 @@ import pytest
 
 from pgl2poly import (F_poly, Mat2, Poly, ProjMat, act, all_classes,
                       common_invariants, criterion_invariant, divides,
-                      enumerate_monic_irreducibles, group_invariant,
-                      invariant_set, is_cyclic, is_invariant, make_field,
-                      proj_act, reciprocal, reduced_type2, reduced_type3,
-                      reduced_type4, star_act, subgroup_closure)
+                      enumerate_monic_irreducibles, invariant_set, is_cyclic,
+                      is_invariant, make_field, proj_act, reduced_type2,
+                      reduced_type3, reduced_type4, subgroup_closure)
 from pgl2poly import action, polynomials, verify
 from pgl2poly.rational import RationalMap, substitute_mobius
 from pgl2poly.verify import type_representatives
 from test_counting import _count_walk_steps
-from test_polynomials import _naive_form
+from test_polynomials import _linear_forms, _naive_form
 
 
 def _rand_matrix(spec, rng):
@@ -28,7 +27,7 @@ def _rand_matrix(spec, rng):
 def test_act_by_swap_is_reciprocal(F3):
     E = Mat2.from_encodings(F3, (0, 1, 1, 0))
     f = Poly.of(F3, 2, 1, 1)
-    assert act(E, f) == reciprocal(f) == Poly.of(F3, 1, 1, 2)
+    assert act(E, f) == Poly(F3, f.coeffs[::-1]) == Poly.of(F3, 1, 1, 2)
 
 def test_act_by_identity(F5):
     f = Poly.of(F5, 3, 1, 1)
@@ -53,7 +52,7 @@ def test_act_matches_linear_forms_reference(p, s):
     assert len(mats) == (q * q - 1) * (q * q - q)
     assert any(not m.a for m in mats) and any(not m.b for m in mats)
     for m in mats:
-        u, v = Poly(spec, (m.c.n, m.a.n)), Poly(spec, (m.d.n, m.b.n))
+        u, v = _linear_forms(m)
         for deg in range(7):
             f = Poly(spec, [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
             assert act(m, f) == _naive_form(f.coeffs, u, v, deg)
@@ -254,8 +253,9 @@ def test_invariant_set_matches_direct_definition(p, s, top):
 @pytest.mark.parametrize("p, s, top", [(2, 1, 6), (3, 1, 5), (2, 2, 4),
                                         (5, 1, 4)])
 def test_common_invariants_match_the_group_filter(p, s, top):
-    # joint eigenspaces against group_invariant on every irreducible, for
-    # random lists of 0-3 classes drawn with the identity among them
+    # joint eigenspaces against is_invariant of each class on every
+    # irreducible, for random lists of 0-3 classes drawn with the identity
+    # among them
     spec = make_field(p, s)
     rng = random.Random(p * 10 + s)
     classes = all_classes(spec)
@@ -266,7 +266,7 @@ def test_common_invariants_match_the_group_filter(p, s, top):
             gens = [rng.choice(classes) for _ in range(rng.randrange(3))]
             gens.insert(rng.randrange(len(gens) + 1), identity)
             gens = gens[:rng.randrange(4)]
-            want = tuple(f for f in pool if group_invariant(gens, f))
+            want = tuple(f for f in pool if all(is_invariant(g, f) for g in gens))
             assert common_invariants(spec, gens, n) == want, (gens, n)
 
 
@@ -313,7 +313,7 @@ def test_group_suites_do_not_generate_invariants(monkeypatch, suite, p, s):
 def test_invariant_set_builds_the_action_once_per_scan(monkeypatch, F3):
     # one search builds the action matrix once, from the power lists of its
     # two linear forms: 2n powers and n + 1 column products, at most 3n + 1
-    # log products (a homogenize per column made 91 for n = 6), and it never
+    # log products (a Horner form per column made 91 for n = 6), and it never
     # acts on a candidate; acting on each of the 116 sextics made 116+ calls
     n = 6
     assert len(enumerate_monic_irreducibles(F3, n)) == 116
@@ -370,25 +370,6 @@ def test_closure_full_group_f2(F2):
     assert len(subgroup_closure(gens)) == 2 ** 3 - 2
 
 
-def test_group_invariant_full_f2(F2):
-    gens = [ProjMat(reduced_type2(F2)), ProjMat(reduced_type4(F2, F2.one))]
-    assert group_invariant(gens, Poly.of(F2, 1, 1, 1))
-
-def test_group_invariant_equals_full_closure_check(F3):
-    g1 = ProjMat(Mat2.from_encodings(F3, (2, 0, 0, 1)))
-    g2 = ProjMat(reduced_type3(F3, F3.from_encoding(2)))
-    closure = subgroup_closure([g1, g2])
-    for f in enumerate_monic_irreducibles(F3, 4):
-        assert group_invariant([g1, g2], f) == all(is_invariant(g, f) for g in closure)
-
-
-def test_group_invariant_cyclic_matches_single(F2):
-    cls = ProjMat(reduced_type4(F2, F2.one))
-    for n in (2, 3, 4):
-        for f in enumerate_monic_irreducibles(F2, n):
-            assert group_invariant([cls], f) == is_invariant(cls, f)
-
-
 def test_quadratic_invariants_full_group_f2(F2):
     gens = [ProjMat(reduced_type2(F2)), ProjMat(reduced_type4(F2, F2.one))]
     assert common_invariants(F2, gens, 2) == (Poly.of(F2, 1, 1, 1),)
@@ -404,17 +385,6 @@ def test_quadratic_invariants_translation_f3_empty(F3):
 def test_quadratic_invariants_no_generators(F3):
     assert common_invariants(F3, [], 2) == enumerate_monic_irreducibles(F3, 2)
 
-
-def test_star_act_is_transposed_action(F3):
-    A = Mat2.from_encodings(F3, (1, 1, 0, 1))
-    f = Poly.of(F3, 1, 0, 1)
-    assert star_act(A, f) == act(A.transpose(), f)
-    assert star_act(A, f) == act(Mat2.from_encodings(F3, (1, 0, 1, 1)), f)
-
-def test_star_act_diagonal_agrees_with_act(F5):
-    A = Mat2.from_encodings(F5, (3, 0, 0, 1))
-    f = Poly.of(F5, 1, 2, 1)
-    assert star_act(A, f) == act(A, f)
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_conjugation_correspondence_suite(p):

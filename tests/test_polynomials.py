@@ -4,11 +4,10 @@ from itertools import product
 import pytest
 
 from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
-                      enumerate_monic_irreducibles, gcd, homogenize,
-                      is_irreducible, make_field, monic_polys, monicize,
-                      pow_mod, reciprocal, to_text)
+                      enumerate_monic_irreducibles, gcd, is_irreducible,
+                      make_field, monic_polys, monicize, pow_mod, to_text)
 from pgl2poly import action, polynomials
-from pgl2poly.rational import RationalMap, substitute_mobius
+from pgl2poly.rational import RationalMap, substitute_mobius, transform
 from pgl2poly.numutil import divisors
 from pgl2poly.projective import ContractError, all_classes
 from pgl2poly.verify import type_representatives
@@ -188,71 +187,29 @@ def _naive_form(coeffs, u, v, k):
         out = out + (upow[i] * vpow[k - i]).scale(ring.from_encoding(c))
     return out
 
-@pytest.mark.parametrize("p,s", [(5, 1), (2, 2), (3, 2)])
-def test_homogenize_matches_power_lists(p, s):
-    ring = make_field(p, s)
-    rng = random.Random(11)
-    zero = 0
-
-    def rand_poly(max_len):
-        return Poly(ring, [rng.randrange(ring.order)
-                           for _ in range(rng.randrange(0, max_len + 1))])
-    for trial in range(150):
-        u, v = rand_poly(3), rand_poly(3)
-        if trial % 10 == 0:
-            u = Poly.zero(ring)
-        elif trial % 10 == 1:
-            v = Poly.zero(ring)
-        coeffs = [rng.randrange(ring.order)
-                  for _ in range(rng.randrange(0, 6))]
-        if trial % 5 == 2:
-            coeffs = [zero] + coeffs             # zero constant coefficient
-        elif trial % 5 == 3:
-            coeffs = coeffs + [zero]             # zero top coefficient
-        top = len(coeffs) - 1
-        for k in range(max(top, 0), top + 4):
-            assert homogenize(coeffs, u, v, k) == _naive_form(coeffs, u, v, k)
-
-def test_homogenize_rejects_short_form_degree(F3):
-    x = Poly.x(F3)
-    with pytest.raises(ValueError):
-        homogenize((1, 1, 1), x, x, 1)
+def _linear_forms(m):
+    # the two columns of m, read as a*x + c and b*x + d
+    spec = m.spec
+    return Poly(spec, (m.c.n, m.a.n)), Poly(spec, (m.d.n, m.b.n))
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1)])
 def test_form_matrix_matches_homogenize(p, s):
-    # column i is homogenize(x^i, u, v, k) for the linear forms u = a*x + c
-    # and v = b*x + d of every class, a constant u (a = 0) and a constant v
-    # (b = 0) included; two extra rows check the zero padding
+    # column i is the form of x^i in u = a*x + c and v = b*x + d, from power
+    # lists, for the columns of every class, a = 0 and b = 0 included
     ring = make_field(p, s)
-    forms = [action._linear_forms(cls.rep) for cls in all_classes(ring)]
-    assert any(u.degree == 0 for u, _ in forms) and any(v.degree == 0 for _, v in forms)
-    for u, v in forms:
+    log = ring.log
+    mats = [cls.rep for cls in all_classes(ring)]
+    assert any(not m.a for m in mats) and any(not m.b for m in mats)
+    for m in mats:
+        u, v = _linear_forms(m)
+        cols = [log[e.n] for e in (m.c, m.a, m.d, m.b)]
         for k in range(9):
-            rows = polynomials.form_matrix(u, v, k, k + 3)
-            assert len(rows) == k + 3 and all(len(row) == k + 1 for row in rows)
+            rows = polynomials.form_matrix(ring, *cols, k)
+            assert len(rows) == k + 1 and all(len(row) == k + 1 for row in rows)
             for i in range(k + 1):
-                col = homogenize((0,) * i + (1,), u, v, k)
+                col = _naive_form((0,) * i + (1,), u, v, k)
                 assert [row[i] for row in rows] == (
-                    polynomials._logs(col) + [-1] * (k + 2 - col.degree))
-
-
-def test_reciprocal_self_reciprocal_linear(F2):
-    f = Poly.of(F2, 1, 1)
-    assert reciprocal(f) == f
-
-def test_reciprocal_reverses_coefficients(F3):
-    assert reciprocal(Poly.of(F3, 2, 1, 1)) == Poly.of(F3, 1, 1, 2)
-
-def test_reciprocal_involution_off_zero_constant(F5):
-    rng = random.Random(7)
-    for _ in range(100):
-        coeffs = [rng.randrange(1, 5)]
-        coeffs += [rng.randrange(5) for _ in range(rng.randrange(5))]
-        f = Poly(F5, coeffs)
-        assert reciprocal(reciprocal(f)) == f
-
-def test_reciprocal_drops_degree_at_zero_root(F3):
-    assert reciprocal(Poly.of(F3, 0, 1, 1)).degree == 1
+                    polynomials._logs(col) + [-1] * (k - col.degree))
 
 
 def test_irreducible_examples(F2):
@@ -450,11 +407,10 @@ def test_kernels_return_reduced_trimmed_logs(ring):
 
 @pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
 def test_form_kernel_matches_power_lists(ring):
-    # polynomials._form, through homogenize and on log lists with a trailing
-    # zero (as act passes a*x + c with a = 0), for u and v of every degree
-    # -1..3 (zero and constant included), coefficient lists with one to four
-    # zero low terms or a zero top term and k = top..top+3; k = 40 keeps the
-    # logs unreduced over many Horner steps
+    # polynomials._form on log lists with a trailing zero, for u and v of
+    # every degree -1..3 (zero and constant included), coefficient lists with
+    # one to four zero low terms, zero-padded to k + 1 entries for
+    # k = top..top+3; k = 40 keeps the logs unreduced over many Horner steps
     rng = random.Random(ring.order * 13 + ring.modulus[0])
     q = ring.order
 
@@ -468,14 +424,13 @@ def test_form_kernel_matches_power_lists(ring):
         coeffs = [rng.randrange(q) for _ in range(rng.randrange(6))]
         if trial % 3 == 1:
             coeffs = [0] * (1 + trial % 4) + coeffs      # zero low coefficients
-        elif trial % 3 == 2:
-            coeffs = coeffs + [0]                # zero top coefficient
         top = Poly(ring, coeffs).degree
+        coeffs = coeffs[:top + 1]
         for k in [*range(max(top, 0), top + 4), *([40] if long_run else [])]:
-            want = _naive_form(coeffs[:top + 1], u, v, k)
-            assert homogenize(coeffs, u, v, k) == want
-            assert polynomials._form(ring, tuple(coeffs), polynomials._logs(u) + [-1],
-                                     polynomials._logs(v) + [-1], k) == want
+            padded = tuple(coeffs + [0] * (k - top))
+            assert polynomials._form(ring, padded, polynomials._logs(u) + [-1],
+                                     polynomials._logs(v) + [-1]) == (
+                _naive_form(coeffs, u, v, k))
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
 def test_mobius_form_matches_power_lists_on_every_class(p, s):
@@ -490,7 +445,7 @@ def test_mobius_form_matches_power_lists_on_every_class(p, s):
     for entry in "abcd":
         assert any(not getattr(m, entry) for m in mats)
     for i, m in enumerate(mats):
-        u, v = action._linear_forms(m)
+        u, v = _linear_forms(m)
         cols = [log[e.n] for e in (m.c, m.a, m.d, m.b)]
         for trial in range(3):
             coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
@@ -544,7 +499,7 @@ def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     assert calls[0] <= 4
 
 def test_act_and_pow_mod_build_at_most_three_polys(monkeypatch):
-    # homogenize and pow_mod run in the log domain and build their result
+    # act and pow_mod run in the log domain and build their result
     # once; a Poly per intermediate product made hundreds
     F5 = make_field(5, 1)
     rng = random.Random(12)
@@ -583,16 +538,16 @@ def test_act_builds_only_its_result(monkeypatch):
         act(Mat2.from_encodings(F5, entries), f)
         assert len(built) == 1
 
-def test_homogenize_calls_no_product_kernel(monkeypatch):
+def test_transform_calls_no_product_kernel(monkeypatch):
     # one Horner kernel: the per-step _mul_logs, _add_logs and _from_logs
     # calls (each rebuilding term lists and reducing logs) are gone
     F7 = make_field(7, 1)
-    u, v = Poly.of(F7, 3, 2), Poly.of(F7, 1, 5, 6)
-    coeffs = tuple(range(1, 7)) * 2 + (4,)
-    want = homogenize(coeffs, u, v, 12)
+    Q = RationalMap(Poly.of(F7, 3, 2), Poly.of(F7, 1, 5, 6), 2)
+    F = Poly(F7, tuple(range(1, 7)) * 2 + (4,))
+    want = _naive_form(F.coeffs, Q.num, Q.den, 12)
     for name in ("_mul_logs", "_add_logs", "_from_logs"):
         monkeypatch.setattr(polynomials, name, None)
-    assert homogenize(coeffs, u, v, 12) == want
+    assert transform(F, Q) == want
 
 # -- polynomials over different fields never mix ----------------------------
 
@@ -605,7 +560,9 @@ def _mixed_pair(small, big):
 BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
           "mul": lambda f, g: f * g, "divrem": divrem, "gcd": gcd,
           "divides": divides, "pow_mod": lambda f, g: pow_mod(f, 5, g),
-          "homogenize": lambda f, g: homogenize((1, 1), f, g, 2)}
+          "transform": lambda f, g: transform(Poly.x(f.ring), RationalMap(f, g, 2)),
+          "substitute_mobius": lambda f, g: substitute_mobius(RationalMap(f, g, 2),
+                                                              Mat2.identity(f.ring))}
 
 @pytest.mark.parametrize("small,big", MIXED)
 @pytest.mark.parametrize("name", sorted(BINARY))
@@ -641,6 +598,4 @@ def test_constructor_rejects_non_encodings(p, s):
     for bad in (-1, ring.order, ring.order + 5, 1.0, "1", None, True, ring.one):
         with pytest.raises(ValueError):
             Poly(ring, (1, bad, 1))
-        with pytest.raises(ValueError):
-            homogenize((bad,), Poly.x(ring), Poly.one(ring), 1)
     assert Poly(ring, (ring.order - 1, 0, 0)).coeffs == (ring.order - 1,)

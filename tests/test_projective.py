@@ -8,6 +8,7 @@ from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       is_square, lucas, make_field, power_closed_form, proj_eq,
                       reduce, reduced_type1, reduced_type2, reduced_type3,
                       reduced_type4, sigma_product, smallest_nonsquare)
+from pgl2poly import projective
 from pgl2poly.projective import lucas_order
 
 
@@ -164,6 +165,24 @@ def test_reduce_cost_is_logarithmic_in_q(monkeypatch):
     rf = reduce(m)
     assert rf.info.kind == TYPE4 and rf.conjugator != Mat2.identity(spec)
     assert calls[0] < 2000
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_reduce_solves_one_quadratic(monkeypatch, p, s):
+    # the type-4 eigenvalue, the least root of x^2 - x - c, is the least root
+    # of m's characteristic polynomial over tr; solving x^2 - x - c again
+    # made a second call for every type-4 class
+    spec = make_field(p, s)
+    roots, calls = projective._quadratic_roots, []
+    monkeypatch.setattr(projective, "_quadratic_roots",
+                        lambda *args: calls.append(args) or roots(*args))
+    for cls in all_classes(spec):
+        if cls.is_identity():
+            continue
+        calls.clear()
+        rf = reduce(cls.rep)
+        assert len(calls) == 1
+        if rf.info.kind == TYPE4:
+            assert rf.eigenvalue == roots(-rf.info.param, -spec.one)[0]
 
 def power_loop_order(cls):
     # reference: multiply the representative until the power is scalar

@@ -4,17 +4,16 @@ import random
 import pytest
 
 from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
-                      ProjMat, RationalMap, act, classify, decompose,
-                      element_of_order, enumerate_monic_irreducibles,
-                      frobenius_q, generate_invariants, invariant_set,
-                      is_invariant, is_irreducible, is_square, make_field,
-                      monicize, q_map, reduce, reduced_type1, reduced_type2,
-                      reduced_type3, reduced_type4, substitute_mobius,
-                      transform, try_descend)
+                      ProjMat, RationalMap, act, classify, element_of_order,
+                      enumerate_monic_irreducibles, frobenius_q,
+                      generate_invariants, invariant_set, is_invariant,
+                      is_irreducible, is_square, make_field, monicize, q_map,
+                      reduce, reduced_type1, reduced_type2, reduced_type3,
+                      reduced_type4, substitute_mobius, transform, try_descend)
 from pgl2poly import polynomials, rational
-from pgl2poly.action import _linear_forms
 from pgl2poly.rational import _type4_reduced_pair
 from pgl2poly.verify import _random_matrix, type_representatives
+from test_polynomials import _linear_forms
 
 
 def test_q_map_worked_example_q3(F3):
@@ -309,30 +308,6 @@ def test_a_transform_that_loses_degree_is_a_contract_error(monkeypatch, F5):
     monkeypatch.setattr(rational, "_criterion", lambda rf, D, mdeg: lambda F: True)
     with pytest.raises(ContractError, match="lost degree"):
         generate_invariants(M, 1)
-
-
-def test_decompose_example(F2):
-    Q = q_map(reduced_type4(F2, F2.one)).map
-    assert decompose(Poly.of(F2, 1, 1, 0, 1), Q) == Poly.of(F2, 1, 1)
-
-def test_decompose_roundtrip_random(F5):
-    rng = random.Random(77)
-    A = Mat2.from_encodings(F5, (0, 1, 4, 1))
-    Q = q_map(A).map
-    for _ in range(60):
-        F = Poly(F5, [rng.randrange(5) for _ in range(3)] + [1])
-        assert decompose(monicize(transform(F, Q))[1], Q) == monicize(F)[1]
-
-def test_decompose_rejects_non_transform(F2):
-    Q = q_map(reduced_type4(F2, F2.one)).map
-    sextic = enumerate_monic_irreducibles(F2, 6)[0]    # no invariant sextics exist
-    with pytest.raises(ValueError):
-        decompose(sextic, Q)
-
-def test_decompose_rejects_bad_degree(F2):
-    Q = q_map(reduced_type4(F2, F2.one)).map
-    with pytest.raises(ValueError):
-        decompose(Poly.of(F2, 1, 1, 0, 0, 1), Q)       # degree 4, map degree 3
 
 
 @pytest.mark.parametrize("p,c_enc,ms", [(2, 1, (1, 2)), (5, 4, (1, 2))])

@@ -199,3 +199,52 @@ def test_cache_scan_sees_decorators_and_assignments(tmp_path):
         "def e():\n"
         "    local = functools.cache(a)\n")
     assert module_level_caches(str(tmp_path)) == {"mod.a", "mod.b", "mod.c", "mod.K.d"}
+
+
+# ---------------------------------------------------------------------------
+# the dead-code rule: every public function of a layer module has a caller in
+# the package, except the three that only the acceptance suite imports
+
+ACCEPTANCE_ONLY = {"counting.asymptotic_ratio", "counting.quadratic_factor_of_F",
+                   "projective.power_closed_form"}
+
+
+def unloaded_public_functions(src_dir: str) -> set[str]:
+    """module.name for every public top-level function of a module other
+    than __init__ whose name no such module loads, bare or as an attribute."""
+    defined, loaded = {}, set()
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "__init__":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        defined.update((f"{module}.{node.name}", node.name) for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return {key for key, name in defined.items() if name not in loaded}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    assert unloaded_public_functions(SRC_DIR) == ACCEPTANCE_ONLY
+
+
+def test_caller_scan_sees_names_and_attributes(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import dead\ndead()\n")
+    (tmp_path / "mod.py").write_text(
+        "def named(): pass\n"
+        "def attribute(): pass\n"
+        "def dead(): pass\n"
+        "def _private(): pass\n"
+        "class K:\n"
+        "    def method(self): pass\n")
+    (tmp_path / "user.py").write_text(
+        "from . import mod\n"
+        "from .mod import named\n"
+        "TABLE = {'n': named}\n"
+        "mod.attribute()\n")
+    assert unloaded_public_functions(str(tmp_path)) == {"mod.dead"}
