@@ -25,7 +25,7 @@ from math import gcd as int_gcd
 from . import linalg
 from .fields import FieldSpec
 from .numutil import MAX_ORDER
-from .polynomials import (Poly, _add_logs, _frobenius, _from_logs,
+from .polynomials import (Poly, _add_logs, _frobenius, _from_logs, _logs,
                           _mobius_form, _same, divrem,
                           enumerate_monic_irreducibles, form_matrix,
                           is_irreducible, monicize)
@@ -106,7 +106,7 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     if n % D:
         return False
     mm = n // D
-    for ell, y in enumerate(_frobenius(f, range(mm, n, mm)), 1):
+    for ell, y in enumerate(_frobenius(f.ring, _logs(f), range(mm, n, mm)), 1):
         if (int_gcd(ell, D) == 1                    # y = x^(q^(ell*m)) mod f
                 and not divrem(_criterion_at(m, _from_logs(f.ring, y)), f)[1]):
             return True

@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
-from .polynomials import Poly, _frobenius, _from_logs, divides, gcd
+from .polynomials import Poly, _frobenius, _from_logs, _logs, divides, gcd
 from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
                          TypeInfo, classify, reduced_type4)
 from .action import F_poly, invariant_set
@@ -115,7 +115,7 @@ def count_factors_of_degree(F: Poly, k: int) -> int:
     xpoly = Poly.x(F.ring)
     counts = {}                                # d -> c_d, for d | k
     js = divisors(k)
-    for j, t in zip(js, _frobenius(F, js)):    # t = x^(q^j) mod F, as logs
+    for j, t in zip(js, _frobenius(F.ring, _logs(F), js)):  # t = x^(q^j) mod F, as logs
         below = sum(d * c for d, c in counts.items() if j % d == 0)
         counts[j] = (gcd(_from_logs(F.ring, t) - xpoly, F).degree - below) // j
     return counts[k]

@@ -7,24 +7,29 @@ and degree -1.  Coefficient sequences are encodings (the constructor,
 Arithmetic runs on log lists (log_g of each coefficient, -1 for zero) in three
 kernels: _mul_into (acc += a*b, b given by its nonzero terms), _add_logs
 (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
--g/lc, taken once per divisor by _reducer).  Logs may pass q - 1 inside a
-kernel; _mul_into leaves them so, and _mul_logs (one product), _add_logs and
-_rem_logs return them reduced mod q - 1, trimmed.  pow_mod, gcd and
-is_irreducible chain these and convert from and to encodings once per call;
-_frobenius walks x^(q^i) mod f by q-th powers on one reducer for Ben-Or, the
-factor counts and the criterion test.  In characteristic p the p-th power is
-linear, (sum a_i x^i)^p = sum a_i^p x^(ip), so a step can be s spreads of the
-logs and s remainders with no product (_frobenius_step).  The walk takes it
-when its term count is at most that of square-and-multiply (_pow_logs):
-always for p <= 7 and for the sparse criterion polynomials, for dense f past
-p = 11 only at low degree.  The binary form sum c_i u^i v^(k-i) of
-rational's transform (u, v of any degree) is one Horner loop, _form, on term
-lists of u and v built once, with logs unreduced until its one result; act
-and substitute_mobius (u = ax + c, v = bx + d, an invertible matrix's
-columns) take _mobius_form, two Taylor shifts and scalings on one log list,
-about half the term operations, no product; the eigenspace search takes
-form_matrix, the form's matrix on the same column logs, as rows of logs for
-linalg.nullspace.
+-g/lc, taken once per divisor by _reducer: divrem, pow_mod, the walk and
+rational's reduction mod a quadratic build one each).  Logs may pass q - 1
+inside a kernel; _mul_into leaves them so, and _mul_logs (one product),
+_add_logs and _rem_logs return them reduced mod q - 1, trimmed.  pow_mod,
+gcd and is_irreducible chain these and convert from and to encodings once
+per call.  Euclid (_gcd_logs) divides in place with no reducer and no
+quotient write, and stops at a nonzero constant.  scale is a log shift,
+exp[log c + log a] per coefficient, with no product.
+_frobenius walks x^(q^i) mod f, f given by its logs, by q-th powers on one
+reducer for Ben-Or, the factor counts and the criterion test; Ben-Or takes
+f's logs once, for its root test (_has_root), its walk and a copy per gcd.
+In characteristic p the p-th power is linear, (sum a_i x^i)^p = sum a_i^p
+x^(ip), so a step can be s spreads of the logs and s remainders with no
+product (_frobenius_step).  The walk takes it when its term count is at most
+that of square-and-multiply (_pow_logs): always for p <= 7 and for the
+sparse criterion polynomials, for dense f past p = 11 only at low degree.
+The binary form sum c_i u^i v^(k-i) of rational's transform (u, v of any
+degree) is one Horner loop, _form, on term lists of u and v built once, with
+logs unreduced until its one result; act and substitute_mobius (u = ax + c,
+v = bx + d, an invertible matrix's columns) take _mobius_form, two Taylor
+shifts and scalings on one log list, about half the term operations, no
+product; the eigenspace search takes form_matrix, the form's matrix on the
+same column logs, as rows of logs for linalg.nullspace.
 """
 
 from __future__ import annotations
@@ -94,8 +99,12 @@ class Poly:
         return hash((hash(self.ring), self.coeffs))
 
     def encode(self) -> int:
-        """Integer encoding: sum of coefficient encodings in base q."""
-        return sum(c * self.ring.order**i for i, c in enumerate(self.coeffs))
+        """Integer encoding: sum of coefficient encodings in base q, by Horner
+        from the top."""
+        q, e = self.ring.order, 0
+        for c in reversed(self.coeffs):
+            e = e * q + c
+        return e
 
     # -- arithmetic --------------------------------------------------------
 
@@ -114,8 +123,12 @@ class Poly:
         return _from_logs(ring, _mul_logs(ring, _logs(self), _logs(other)))
 
     def scale(self, c) -> "Poly":
-        _same(self.ring, c.spec)
-        return self * _poly(self.ring, (c.n,))
+        ring = self.ring
+        _same(ring, c.spec)
+        if not c.n:
+            return _poly(ring, ())
+        exp, log, lc = ring.exp, ring.log, ring.log[c.n]   # exp is doubled
+        return _poly(ring, [exp[lc + log[x]] if x else 0 for x in self.coeffs])
 
     def __pow__(self, e: int) -> "Poly":
         return power(self, e, Poly.one(self.ring))      # ValueError for e < 0
@@ -326,10 +339,32 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _gcd_logs(ring, a: list, b: list) -> list:
-    # the last nonzero remainder of Euclid's loop; a and b are consumed
-    while b:
-        a, b = b, _rem_logs(ring, a, _reducer(ring, b))
-    return a
+    # the last nonzero remainder of Euclid's loop, reduced; a and b are
+    # consumed.  Each step divides a by b in place with no quotient write and
+    # no reducer; a's logs stay unreduced, b's terms are reduced each step so
+    # they stay small.  A nonzero constant b ends the loop: it divides a
+    zech, m = ring.zech, ring.order - 1
+    while len(b) > 1:
+        d = len(b) - 1
+        sh = (ring.neg - b[d]) % m                 # log(-1/lc): never negative
+        ng = [(i, (t + sh) % m) for i, t in enumerate(b[:d]) if t >= 0]
+        for k in range(len(a) - d - 1, -1, -1):
+            top = a[k + d]
+            if top >= 0:
+                for i, t in ng:
+                    i += k
+                    x = a[i]
+                    t += top
+                    if x < 0:
+                        a[i] = t
+                    else:
+                        z = zech[(t - x) % m]
+                        a[i] = x + z if z >= 0 else -1
+        del a[d:]
+        while a and a[-1] < 0:
+            a.pop()
+        a, b = b, a
+    return [x % m if x > 0 else x for x in (b or a)]
 
 
 def _form(ring, coeffs, lu: list, lv: list) -> Poly:
@@ -458,14 +493,14 @@ def _frobenius_step(ring, t: list, red: tuple) -> list:
     return t
 
 
-def _frobenius(f: Poly, steps) -> Iterator[list]:
-    # x^(q^i) mod f as a log list (not to be changed) at each i >= 1 of the
-    # ascending steps, every step of the walk a q-th power on one reducer:
+def _frobenius(ring, lf: list, steps) -> Iterator[list]:
+    # x^(q^i) mod f, for f of degree >= 1 given by its logs lf (only read), as
+    # a log list (not to be changed) at each i >= 1 of the ascending steps,
+    # every step of the walk a q-th power on one reducer:
     # the spread step when its s(p-1)(n-1)w term operations, for n = deg f
     # and w terms below the top, are at most _pow_logs's (its bit_length(q)
     # + popcount(q) - 2 products, each n^2 plus a remainder of (n-1)w)
-    ring = f.ring
-    q, red = ring.order, _reducer(ring, _logs(f))
+    q, red = ring.order, _reducer(ring, lf)
     n, w = red[0], len(red[2])
     spread = (ring.s * (ring.p - 1) * (n - 1) * w
               <= (q.bit_length() + q.bit_count() - 2) * (n * n + (n - 1) * w))
@@ -483,24 +518,48 @@ def is_irreducible(f: Poly) -> bool:
     for i = 1..n/2 (i = 1 is the root test).  x^(q^i) - x is the product of
     the monic irreducibles of degree dividing i; a reducible f, squarefree or
     not, has such a factor for some i <= n/2, and an irreducible f has none.
-    Past the root test and the n <= 3 shortcut, _frobenius walks i = 2..n/2;
-    for p <= 7 each step is a spread of the logs and a remainder, so the
-    test makes no product, only remainders and gcds."""
+    f's logs are taken once: the root test (_has_root) reads them, and past
+    the n <= 3 shortcut _frobenius walks i = 2..n/2 on them and each gcd
+    takes a copy.  For p <= 7 each step is a spread of the logs and a
+    remainder, so the test makes no product, only remainders and gcds."""
     n = f.degree
     if n < 1:
         raise ValueError("irreducibility is undefined for constants")
     if n == 1:
         return True
-    if any(not _eval(f, a) for a in range(f.ring.order)):     # a root
+    ring, lf = f.ring, _logs(f)
+    if _has_root(ring, lf):
         return False
     if n <= 3:
         return True
-    ring, x = f.ring, [-1, 0]
-    for t in _frobenius(f, range(2, n // 2 + 1)):          # x^(q^i) mod f
+    x = [-1, 0]
+    for t in _frobenius(ring, lf, range(2, n // 2 + 1)):   # x^(q^i) mod f
         t_minus_x = _add_logs(ring, list(t), x, ring.neg)
-        if len(_gcd_logs(ring, _logs(f), t_minus_x)) > 1:   # a common factor
+        if len(_gcd_logs(ring, list(lf), t_minus_x)) > 1:   # a common factor
             return False
     return True
+
+
+def _has_root(ring, lf: list) -> bool:
+    # True iff the polynomial with logs lf vanishes at 0 (lf[0] = -1) or at
+    # some g^k, 0 <= k < q - 1: one Horner loop per k, logs unreduced
+    if not lf or lf[0] < 0:
+        return True
+    zech, m, rl = ring.zech, ring.order - 1, lf[::-1]
+    for k in range(m):
+        acc = -1
+        for t in rl:
+            if acc >= 0:
+                acc += k
+            if t >= 0:
+                if acc < 0:
+                    acc = t
+                else:
+                    z = zech[(t - acc) % m]
+                    acc = acc + z if z >= 0 else -1
+        if acc < 0:
+            return True
+    return False
 
 
 def monic_polys(ring, n: int) -> Iterator[Poly]:

@@ -4,19 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import random
 import time
 from fractions import Fraction
 from math import gcd as int_gcd
 
-import pytest
-
-from pgl2poly import (Mat2, Poly, ProjMat, act, all_classes,
-                      count_invariants_bruteforce, divides,
-                      enumerate_monic_irreducibles, invariant_set,
-                      make_field, power_closed_form, q_map,
-                      quadratic_factor_of_F, reduced_type4,
-                      substitute_mobius, F_poly, asymptotic_ratio)
+from pgl2poly import (Mat2, Poly, ProjMat, all_classes,
+                      count_invariants_bruteforce, divides, make_field,
+                      power_closed_form, q_map, quadratic_factor_of_F,
+                      reduced_type4, substitute_mobius, F_poly, asymptotic_ratio)
 from pgl2poly.verify import (suite_action_laws, suite_counting,
                              suite_criterion, suite_generation,
                              suite_noncyclic, suite_pgroup, suite_sigma)

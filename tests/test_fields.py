@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from pgl2poly import (FieldSpec, Poly, artin_schreier_root,
-                      element_of_mult_order, embed, frobenius_q, is_square,
-                      make_ext, make_field, smallest_nonsquare, sqrt,
-                      try_descend)
+from pgl2poly import (FieldSpec, artin_schreier_root, element_of_mult_order,
+                      embed, frobenius_q, is_square, make_ext, make_field,
+                      smallest_nonsquare, sqrt, try_descend)
 from pgl2poly.fields import trace
 
 SMALL_Q = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]

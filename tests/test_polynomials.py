@@ -126,13 +126,13 @@ def test_frobenius_walk_matches_pow_mod(p, s):
         else:
             f = rand(n, monic)
         for steps in (range(1, 9), divisors(12), ()):
-            walk = polynomials._frobenius(f, steps)
+            walk = polynomials._frobenius(ring, polynomials._logs(f), steps)
             assert ([polynomials._from_logs(ring, t) for t in walk]
                     == [pow_mod(x, q**i, f) for i in steps])
     for _, rep in type_representatives(ring):
         for r in (1, 2) if q <= 7 else (1,):
             F = action.F_poly(rep, r)
-            walk = polynomials._frobenius(F, range(1, 4))
+            walk = polynomials._frobenius(ring, polynomials._logs(F), range(1, 4))
             assert ([polynomials._from_logs(ring, t) for t in walk]
                     == [pow_mod(x, q**i, F) for i in range(1, 4)])
 
@@ -388,6 +388,36 @@ def test_kernels_match_felt_reference(ring):
         assert pow_mod(base, e, modulus) == _ref_pow_mod(base, e, modulus)
 
 @pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
+def test_encode_is_the_base_q_sum(ring):
+    q = ring.order
+    for f in _kernel_cases(ring, random.Random(q), 12):
+        assert f.encode() == sum(c * q**i for i, c in enumerate(f.coeffs))
+
+def _all_polys(ring, n):
+    # every polynomial of degree <= n, the zero polynomial and every
+    # non-monic top included
+    return [Poly(ring, c) for c in product(range(ring.order), repeat=n + 1)]
+
+@pytest.mark.parametrize("p,s", [(2, 2), (5, 1)])
+def test_gcd_matches_reference_on_every_low_degree_pair(p, s):
+    # Euclid's in-place division shifts by log(-1) - log lc reduced mod q - 1;
+    # left negative, the shift collides with the -1 of a zero coefficient
+    ring = make_field(p, s)
+    polys = _all_polys(ring, 2)
+    for f in polys:
+        for g in polys:
+            if f or g:
+                assert gcd(f, g) == _ref_gcd(f, g)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+def test_root_test_matches_evaluation(p, s):
+    ring = make_field(p, s)
+    points = list(ring.elements())
+    for f in _all_polys(ring, 3):
+        assert polynomials._has_root(ring, polynomials._logs(f)) == any(
+            f(a) == ring.zero for a in points)
+
+@pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
 def test_kernels_return_reduced_trimmed_logs(ring):
     rng = random.Random(ring.order)
     m = ring.order - 1
@@ -478,6 +508,37 @@ def test_act_and_substitute_mobius_make_no_product(monkeypatch):
     act(m, f)
     substitute_mobius(RationalMap(f, Poly.x(F7), 7), m)
     assert calls == []
+
+def test_scale_and_monicize_make_no_product(monkeypatch):
+    # scaling is one log shift per coefficient; a product with a one-term
+    # Poly made a _mul_into call per scaling
+    F7 = make_field(7, 1)
+    f = Poly(F7, [1, 0, 4, 6, 0, 2, 3])
+    calls = []
+    monkeypatch.setattr(polynomials, "_mul_into", lambda *args: calls.append(args))
+    assert f.scale(F7.from_encoding(5)).lc() == F7.from_encoding(1)
+    assert monicize(f)[1].is_monic
+    assert calls == []
+
+def test_euclid_takes_no_reducer_and_ben_or_one(monkeypatch):
+    # Euclid divides in place; only the Frobenius walk builds a reducer, once.
+    # A reducer per Euclid step made dozens on this case
+    F3 = make_field(3, 1)
+    rng = random.Random(9)
+    while True:
+        f = Poly(F3, [rng.randrange(3) for _ in range(14)] + [1])
+        if is_irreducible(f):
+            break
+    g = Poly(F3, [rng.randrange(3) for _ in range(13)] + [2])
+    is_irreducible.cache_clear()
+    calls = []
+    reducer = polynomials._reducer
+    monkeypatch.setattr(polynomials, "_reducer",
+                        lambda *args: calls.append(args) or reducer(*args))
+    gcd(f, g)
+    assert calls == []
+    assert is_irreducible(f)
+    assert len(calls) == 1
 
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
     # pow_mod, act and divrem index the tables directly; the Felt-level

@@ -6,8 +6,8 @@ import pytest
 from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       Poly, ProjMat, all_classes, classify, element_of_order,
                       is_square, lucas, make_field, power_closed_form, proj_eq,
-                      reduce, reduced_type1, reduced_type2, reduced_type3,
-                      reduced_type4, sigma_product, smallest_nonsquare)
+                      reduce, reduced_type1, reduced_type2, reduced_type4,
+                      sigma_product)
 from pgl2poly import projective
 from pgl2poly.projective import lucas_order
 

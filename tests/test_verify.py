@@ -248,3 +248,49 @@ def test_caller_scan_sees_names_and_attributes(tmp_path):
         "TABLE = {'n': named}\n"
         "mod.attribute()\n")
     assert unloaded_public_functions(str(tmp_path)) == {"mod.dead"}
+
+
+# ---------------------------------------------------------------------------
+# the unused-import rule: a test module loads every name its top-level
+# imports bind; with no lint step, this scan is what catches a stale import
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def unused_test_imports(tests_dir: str) -> set[str]:
+    """module.name for every name a top-level import of a module in
+    tests_dir binds (from __future__ aside) that the module never loads."""
+    unused = set()
+    for path in sorted(glob.glob(os.path.join(tests_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name != "*" and name not in loaded:
+                        unused.add(f"{module}.{name}")
+    return unused
+
+
+def test_no_test_module_imports_a_name_it_never_loads():
+    assert unused_test_imports(TESTS_DIR) == set()
+
+
+def test_import_scan_sees_unloaded_names(tmp_path):
+    (tmp_path / "test_mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import random as rnd\n"
+        "import sys\n"
+        "from math import gcd, lcm as least\n"
+        "from itertools import *\n"
+        "def f():\n"
+        "    import json\n"
+        "    return os.path.sep, gcd(4, 6), least\n")
+    assert unused_test_imports(str(tmp_path)) == {"test_mod.rnd", "test_mod.sys"}
