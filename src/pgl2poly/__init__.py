@@ -7,8 +7,7 @@ from .fields import (ExtElt, ExtSpec, Felt, FieldSpec, artin_schreier_root,
                      make_ext, make_field, smallest_nonsquare, sqrt,
                      try_descend)
 from .polynomials import (Poly, divides, divrem, enumerate_monic_irreducibles,
-                          gcd, is_irreducible, monic_polys, monicize, pow_mod,
-                          to_text)
+                          gcd, is_irreducible, monic_polys, monicize, to_text)
 from .projective import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, ContractError,
                          Mat2, ProjMat, ReducedForm, TypeInfo, all_classes,
                          classify, element_of_order, lucas, power_closed_form,

@@ -22,7 +22,8 @@ from __future__ import annotations
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
-from .polynomials import Poly, _frobenius, _from_logs, _logs, divides, gcd
+from .polynomials import (Poly, _frobenius, _from_logs, _has_root, _logs,
+                          divides, gcd)
 from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
                          TypeInfo, classify, reduced_type4)
 from .action import F_poly, invariant_set
@@ -150,7 +151,7 @@ def quadratic_factor_of_F(c, j: int, mm: int):
     q = spec.order
     if F.degree != q**mm + 1:
         raise ContractError("criterion polynomial has degree q^m + 1")
-    if any(F(x) == spec.zero for x in spec.elements()):
+    if _has_root(spec, _logs(F)):
         raise ContractError("criterion polynomial must be free of linear factors")
     cinv = c.inverse()
     quad = Poly(spec, ((-cinv).n, cinv.n, 1))

@@ -19,7 +19,8 @@ from operator import mul, not_
 from collections.abc import Iterator
 
 from .numutil import MAX_ORDER, is_prime, power, prime_factors
-from .polynomials import Poly, is_irreducible, monic_polys, pow_mod
+from .polynomials import (Poly, _logs, _pow_logs, _reducer, is_irreducible,
+                          monic_polys)
 
 
 class FieldSpec:
@@ -68,7 +69,9 @@ class FieldSpec:
 def _tables(p: int, s: int, modulus: tuple[int, ...]):
     """exp (doubled to length 2(q-1), so a sum of two logs needs no
     reduction), log (log[0] = -1) and zech (-1 where 1 + g^k = 0) for the
-    least g with g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    least g with g^((q-1)/r) != 1 for every prime r dividing q - 1.  For
+    s > 1 that test is _pow_logs on g's digit polynomial, on one reducer of
+    the modulus built once per field."""
     q = p**s
     exps = [(q - 1) // r for r in prime_factors(q - 1)]
     if s == 1:
@@ -78,10 +81,11 @@ def _tables(p: int, s: int, modulus: tuple[int, ...]):
         # constants (encodings below p) have order dividing p - 1; g = 0 when
         # nothing qualifies, as for a reducible modulus
         fp = make_field(p, 1)
-        mod, one = Poly.of(fp, *modulus), Poly.one(fp)
+        red = _reducer(fp, _logs(Poly.of(fp, *modulus)))
         digits = lambda n: [n // p**i % p for i in range(s)]
         g = next((g for g in range(p, q) if all(
-            pow_mod(Poly.of(fp, *digits(g)), e, mod) != one for e in exps)), 0)
+            _pow_logs(fp, _logs(Poly.of(fp, *digits(g))), e, red) != [0]
+            for e in exps)), 0)
         # one walk: multiply by g by Horner on its digits, where x*t shifts t
         # and folds the top digit back in by x^s = -(m_0 + ... + m_{s-1} x^{s-1})
         high_first = list(dropwhile(not_, reversed(digits(g))))

@@ -3,18 +3,19 @@
 Coefficients are the field's integer encodings in [0, q), stored ascending
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree -1.  Coefficient sequences are encodings (the constructor,
-.coeffs); single field values are Felt (lc, evaluation, scale, monomial).
+.coeffs); single field values are Felt (lc, scale, monomial).
 Arithmetic runs on log lists (log_g of each coefficient, -1 for zero) in three
 kernels: _mul_into (acc += a*b, b given by its nonzero terms), _add_logs
 (g^x + g^t = g^(x + zech[(t - x) mod (q-1)])) and _rem_logs (division by
--g/lc, taken once per divisor by _reducer: divrem, pow_mod, the walk and
-rational's reduction mod a quadratic build one each).  Logs may pass q - 1
-inside a kernel; _mul_into leaves them so, and _mul_logs (one product),
-_add_logs and _rem_logs return them reduced mod q - 1, trimmed.  pow_mod,
-gcd and is_irreducible chain these and convert from and to encodings once
-per call.  Euclid (_gcd_logs) divides in place with no reducer and no
-quotient write, and stops at a nonzero constant.  scale is a log shift,
-exp[log c + log a] per coefficient, with no product.
+-g/lc, taken once per divisor by _reducer: divrem, the walk, rational's
+reduction mod a quadratic and the primitive test of fields build one each).
+Logs may pass q - 1 inside a kernel; _mul_into leaves them so, and _mul_logs
+(one product), _add_logs and _rem_logs return them reduced mod q - 1,
+trimmed.  gcd and is_irreducible chain these and convert from and to
+encodings once per call; _pow_logs is square-and-multiply on them.
+Euclid (_gcd_logs) divides in place with no reducer and no quotient write,
+and stops at a nonzero constant.  scale is a log shift, exp[log c + log a]
+per coefficient, with no product.
 _frobenius walks x^(q^i) mod f, f given by its logs, by q-th powers on one
 reducer for Ben-Or, the factor counts and the criterion test; Ben-Or takes
 f's logs once, for its root test (_has_root), its walk and a copy per gcd.
@@ -132,11 +133,6 @@ class Poly:
 
     def __pow__(self, e: int) -> "Poly":
         return power(self, e, Poly.one(self.ring))      # ValueError for e < 0
-
-    def __call__(self, x):
-        """Evaluate at a field element, by Horner."""
-        _same(self.ring, x.spec)
-        return self.ring.from_encoding(_eval(self, x.n))
 
     def __repr__(self):
         return to_text(self)
@@ -263,26 +259,6 @@ def _add(f: Poly, g: Poly, shift: int) -> Poly:
     ring = f.ring
     _same(ring, g.ring)
     return _from_logs(ring, _add_logs(ring, _logs(f), _logs(g), shift))
-
-
-def _eval(f: Poly, n: int) -> int:
-    # the encoding of f at the element with encoding n, by Horner
-    if not n:
-        return f.coeffs[0] if f.coeffs else 0
-    ring = f.ring
-    exp, log, zech, m = ring.exp, ring.log, ring.zech, ring.order - 1
-    ln, acc = log[n], -1
-    for c in reversed(f.coeffs):
-        if acc >= 0:
-            acc += ln
-        if c:
-            t = log[c]
-            if acc < 0:
-                acc = t
-            else:
-                z = zech[(t - acc) % m]
-                acc = acc + z if z >= 0 else -1
-    return exp[acc % m] if acc >= 0 else 0
 
 
 def to_text(f: Poly) -> str:
@@ -455,21 +431,9 @@ def form_matrix(ring, c: int, a: int, d: int, b: int, k: int) -> list:
     return [[col[j] if j < len(col) else -1 for col in cols] for j in range(k + 1)]
 
 
-def pow_mod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e mod modulus for e >= 0, by square-and-multiply from the lowest
-    set bit of e, with no squaring after the highest one."""
-    if modulus.degree < 1:
-        raise ValueError("pow_mod modulus must have degree >= 1")
-    if e < 0:
-        raise ValueError(f"pow_mod requires e >= 0, got {e}")
-    ring = modulus.ring
-    _same(ring, base.ring)
-    red = _reducer(ring, _logs(modulus))
-    return _from_logs(ring, _pow_logs(ring, _rem_logs(ring, _logs(base), red), e, red))
-
-
 def _pow_logs(ring, b: list, e: int, red: tuple) -> list:
-    # b^e mod the reducer's g, for b of lower degree
+    # b^e mod the reducer's g, for b of lower degree and e >= 0, squaring
+    # from the lowest set bit of e and not after the highest one
     result = None
     while True:
         if e & 1:

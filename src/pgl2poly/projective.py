@@ -71,9 +71,6 @@ class Mat2:
             return self.inverse() ** (-j)
         return power(self, j, Mat2.identity(self.spec))
 
-    def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
-
     def scale(self, t: Felt) -> "Mat2":
         return Mat2(self.a * t, self.b * t, self.c * t, self.d * t)
 

@@ -1,15 +1,16 @@
 import random
 from itertools import product
+from math import gcd as int_gcd
 
 import pytest
 
 from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
                       enumerate_monic_irreducibles, gcd, is_irreducible,
-                      make_field, monic_polys, monicize, pow_mod, to_text)
+                      make_field, monic_polys, monicize, to_text)
 from pgl2poly import action, polynomials
 from pgl2poly.rational import RationalMap, substitute_mobius, transform
 from pgl2poly.numutil import divisors
-from pgl2poly.projective import ContractError, all_classes
+from pgl2poly.projective import ContractError, ProjMat, all_classes, reduced_type4
 from pgl2poly.verify import type_representatives
 
 
@@ -81,39 +82,42 @@ def test_gcd_both_zero_rejected(F2):
         gcd(Poly.zero(F2), Poly.zero(F2))
 
 
-def test_eval_example(F2):
-    assert Poly.of(F2, 1, 1, 0, 1)(F2.one) == F2.one
-
 def test_pow_mod_matches_plain_power(F3):
+    # _pow_logs, square-and-multiply on log lists
+    logs, red = polynomials._logs, polynomials._reducer
     base = Poly.of(F3, 1, 1)
     mod = Poly.of(F3, 1, 0, 1)
-    assert pow_mod(base, 7, mod) == divrem(base ** 7, mod)[1]
+    assert (polynomials._pow_logs(F3, logs(base), 7, red(F3, logs(mod)))
+            == logs(divrem(base ** 7, mod)[1]))
     # e = 0, 1, the powers of two and everything between, against a
-    # running product; the base is unreduced (degree above the modulus)
+    # running product; the base is reduced once (degree above the modulus)
     big = Poly.of(F3, 2, 1, 0, 1, 2)
     mod = Poly.of(F3, 1, 2, 0, 1)
-    acc = Poly.one(F3)
+    r = red(F3, logs(mod))
+    b, acc = polynomials._rem_logs(F3, logs(big), r), Poly.one(F3)
     for e in range(41):
-        assert pow_mod(big, e, mod) == acc
+        assert polynomials._pow_logs(F3, b, e, r) == logs(acc)
         acc = divrem(acc * big, mod)[1]
-
-def test_pow_mod_rejects_negative_exponent(F3):
-    with pytest.raises(ValueError):
-        pow_mod(Poly.x(F3), -1, Poly.of(F3, 1, 0, 1))
 
 @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2),
                                   (11, 1), (13, 1), (31, 1), (101, 1), (2, 3),
                                   (5, 2), (3, 3)])
 def test_frobenius_walk_matches_pow_mod(p, s):
-    # the walk against pow_mod(x, q^i, f) for f of degree 1..8, monic or
-    # not, some with a squared factor, at consecutive steps, at the divisors
-    # of 12 (steps with gaps) and at no step at all; then on the sparse
-    # criterion polynomials of degree q + 1 (and q^2 + 1 for q <= 7).  Small
-    # p takes the spread step, large p _pow_logs on dense f and the spread
-    # step on the sparse ones
+    # the walk against x^(q^i) mod f, each a _ref_pow_mod q-th power of the
+    # last, for f of degree 1..8, monic or not, some with a squared factor,
+    # at consecutive steps, at the divisors of 12 (steps with gaps) and at no
+    # step at all; then on the sparse criterion polynomials of degree q + 1
+    # (and q^2 + 1 for q <= 7).  Small p takes the spread step, large p
+    # _pow_logs on dense f and the spread step on the sparse ones
     ring = make_field(p, s)
-    q, x = ring.order, Poly.x(ring)
+    q = ring.order
     rng = random.Random(q * 10 + s)
+
+    def ref_walk(f, top):
+        out = [Poly.x(ring)]                       # x^(q^i) mod f at i = 0..top
+        for _ in range(top):
+            out.append(_ref_pow_mod(out[-1], q, f))
+        return out
 
     def rand(deg, monic):
         return Poly(ring, [rng.randrange(q) for _ in range(deg)]
@@ -125,16 +129,17 @@ def test_frobenius_walk_matches_pow_mod(p, s):
             f = h * h * rand(n % 2, monic)
         else:
             f = rand(n, monic)
+        ref = ref_walk(f, 12)
         for steps in (range(1, 9), divisors(12), ()):
             walk = polynomials._frobenius(ring, polynomials._logs(f), steps)
             assert ([polynomials._from_logs(ring, t) for t in walk]
-                    == [pow_mod(x, q**i, f) for i in steps])
+                    == [ref[i] for i in steps])
     for _, rep in type_representatives(ring):
         for r in (1, 2) if q <= 7 else (1,):
             F = action.F_poly(rep, r)
             walk = polynomials._frobenius(ring, polynomials._logs(F), range(1, 4))
             assert ([polynomials._from_logs(ring, t) for t in walk]
-                    == [pow_mod(x, q**i, F) for i in range(1, 4)])
+                    == ref_walk(F, 3)[1:])
 
 
 @pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (11, 1),
@@ -362,7 +367,6 @@ def test_kernels_match_felt_reference(ring):
     for f in polys:
         assert -f == _ref_add(Poly.zero(ring), f, -1)
         for x in points:
-            assert f(x) == _ref_eval(f, x)
             assert f.scale(x) == _ref_mul(f, Poly(ring, (x.n,)))
         for g in rng.sample(polys, 6):
             assert f * g == _ref_mul(f, g)
@@ -385,7 +389,10 @@ def test_kernels_match_felt_reference(ring):
             modulus = Poly(ring, [rng.randrange(q) for _ in range(rng.randrange(13, 41))]
                            + [rng.randrange(1, q)])
         base, e = rng.choice(polys), rng.randrange(top)
-        assert pow_mod(base, e, modulus) == _ref_pow_mod(base, e, modulus)
+        red = polynomials._reducer(ring, polynomials._logs(modulus))
+        b = polynomials._rem_logs(ring, polynomials._logs(base), red)
+        assert (polynomials._pow_logs(ring, b, e, red)
+                == polynomials._logs(_ref_pow_mod(base, e, modulus)))
 
 @pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
 def test_encode_is_the_base_q_sum(ring):
@@ -409,13 +416,30 @@ def test_gcd_matches_reference_on_every_low_degree_pair(p, s):
             if f or g:
                 assert gcd(f, g) == _ref_gcd(f, g)
 
+def _criterion_polys(ring):
+    # the sparse criterion polynomials F_poly(base^j, m) of the type-4 classes
+    # [[0, 1], [c, 1]], j prime to the order D, m <= 3
+    for c in list(ring.elements())[1:]:
+        base = reduced_type4(ring, c)
+        if not is_irreducible(Poly(ring, (base.det.n, (-base.trace).n, 1))):
+            continue                       # x^2 - x - c reducible
+        D = ProjMat(base).order()
+        for j in range(1, D):
+            if int_gcd(j, D) == 1:
+                yield from (action.F_poly(base ** j, m) for m in (1, 2, 3))
+
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
 def test_root_test_matches_evaluation(p, s):
+    # every polynomial of degree <= 3, and over GF(2) and GF(3) the criterion
+    # polynomials of degree q^m + 1, against Horner at every point
     ring = make_field(p, s)
     points = list(ring.elements())
-    for f in _all_polys(ring, 3):
+    polys = _all_polys(ring, 3)
+    if s == 1 and p <= 3:
+        polys += _criterion_polys(ring)
+    for f in polys:
         assert polynomials._has_root(ring, polynomials._logs(f)) == any(
-            f(a) == ring.zero for a in points)
+            _ref_eval(f, a) == ring.zero for a in points)
 
 @pytest.mark.parametrize("ring", KERNEL_FIELDS, ids=repr)
 def test_kernels_return_reduced_trimmed_logs(ring):
@@ -541,8 +565,9 @@ def test_euclid_takes_no_reducer_and_ben_or_one(monkeypatch):
     assert len(calls) == 1
 
 def test_kernel_field_products_stay_out_of_felt(monkeypatch):
-    # pow_mod, act and divrem index the tables directly; the Felt-level
-    # schoolbook loops made 16,222 Felt products and sums on this case
+    # the Frobenius walk, act and divrem index the tables directly; the
+    # Felt-level schoolbook loops made 16,222 Felt products and sums on this
+    # case
     F5 = make_field(5, 1)
     rng = random.Random(12)
     f = Poly(F5, [rng.randrange(5) for _ in range(12)] + [3])
@@ -554,18 +579,17 @@ def test_kernel_field_products_stay_out_of_felt(monkeypatch):
             calls[0] += 1
             return _op(x, y)
         monkeypatch.setattr(Felt, name, counted)
-    pow_mod(Poly.x(F5), 5**12, f)
+    list(polynomials._frobenius(F5, polynomials._logs(f), [12]))
     act(A, f)
     divrem(dividend, f)
     assert calls[0] <= 4
 
 def test_act_and_pow_mod_build_at_most_three_polys(monkeypatch):
-    # act and pow_mod run in the log domain and build their result
-    # once; a Poly per intermediate product made hundreds
+    # act and the Frobenius walk run in the log domain and build at most
+    # their result; a Poly per intermediate product made hundreds
     F5 = make_field(5, 1)
     rng = random.Random(12)
     f = Poly(F5, [rng.randrange(5) for _ in range(12)] + [3])
-    x = Poly.x(F5)
     A = Mat2.from_encodings(F5, (2, 3, 1, 1))
     built = [0]
     init, unchecked = Poly.__init__, polynomials._poly
@@ -579,7 +603,8 @@ def test_act_and_pow_mod_build_at_most_three_polys(monkeypatch):
         return unchecked(*args)
     monkeypatch.setattr(Poly, "__init__", counted_init)
     monkeypatch.setattr(polynomials, "_poly", counted_poly)
-    for run in (lambda: act(A, f), lambda: pow_mod(x, 5**12, f)):
+    for run in (lambda: act(A, f),
+                lambda: list(polynomials._frobenius(F5, polynomials._logs(f), [12]))):
         built[0] = 0
         run()
         assert built[0] <= 3
@@ -620,7 +645,7 @@ def _mixed_pair(small, big):
 
 BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
           "mul": lambda f, g: f * g, "divrem": divrem, "gcd": gcd,
-          "divides": divides, "pow_mod": lambda f, g: pow_mod(f, 5, g),
+          "divides": divides,
           "transform": lambda f, g: transform(Poly.x(f.ring), RationalMap(f, g, 2)),
           "substitute_mobius": lambda f, g: substitute_mobius(RationalMap(f, g, 2),
                                                               Mat2.identity(f.ring))}
@@ -630,8 +655,6 @@ BINARY = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
 def test_binary_operations_reject_mixed_fields(small, big, name):
     f, g, a, b = _mixed_pair(small, big)
     for x, y in ((f, g), (g, f), (f, Poly.zero(b)), (Poly.zero(a), g)):
-        if name == "pow_mod" and not y:
-            continue                      # a zero modulus is refused first
         with pytest.raises(ValueError, match="mixed field specs"):
             BINARY[name](x, y)
 
@@ -640,8 +663,6 @@ def test_field_value_arguments_reject_mixed_fields(small, big):
     f, g, a, b = _mixed_pair(small, big)
     with pytest.raises(ValueError, match="mixed field specs"):
         f.scale(b.one)
-    with pytest.raises(ValueError, match="mixed field specs"):
-        f(b.one)
     with pytest.raises(ValueError, match="mixed field specs"):
         Poly.monomial(a, b.one, 2)
     for m, h in ((Mat2.identity(b), f), (Mat2.identity(a), g)):

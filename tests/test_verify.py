@@ -202,16 +202,18 @@ def test_cache_scan_sees_decorators_and_assignments(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the dead-code rule: every public function of a layer module has a caller in
-# the package, except the three that only the acceptance suite imports
+# the dead-code rule: every top-level function, public or private, and every
+# method of a layer module has a caller in the package, except the three that
+# only the acceptance suite imports.  Dunders are exempt: operator protocol
 
 ACCEPTANCE_ONLY = {"counting.asymptotic_ratio", "counting.quadratic_factor_of_F",
                    "projective.power_closed_form"}
 
 
-def unloaded_public_functions(src_dir: str) -> set[str]:
-    """module.name for every public top-level function of a module other
-    than __init__ whose name no such module loads, bare or as an attribute."""
+def unloaded_functions(src_dir: str) -> set[str]:
+    """module.name for every top-level function, and module.Class.name for
+    every non-dunder method, of a module other than __init__ whose name no
+    such module loads, bare or as an attribute."""
     defined, loaded = {}, set()
     for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
         module = os.path.basename(path)[:-3]
@@ -219,8 +221,14 @@ def unloaded_public_functions(src_dir: str) -> set[str]:
             continue
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
-        defined.update((f"{module}.{node.name}", node.name) for node in tree.body
-                       if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[f"{module}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef) and not (
+                            m.name.startswith("__") and m.name.endswith("__")):
+                        defined[f"{module}.{node.name}.{m.name}"] = m.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
@@ -230,7 +238,7 @@ def unloaded_public_functions(src_dir: str) -> set[str]:
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    assert unloaded_public_functions(SRC_DIR) == ACCEPTANCE_ONLY
+    assert unloaded_functions(SRC_DIR) == ACCEPTANCE_ONLY
 
 
 def test_caller_scan_sees_names_and_attributes(tmp_path):
@@ -240,14 +248,20 @@ def test_caller_scan_sees_names_and_attributes(tmp_path):
         "def attribute(): pass\n"
         "def dead(): pass\n"
         "def _private(): pass\n"
+        "def _dead_private(): pass\n"
         "class K:\n"
-        "    def method(self): pass\n")
+        "    def __call__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def _helper(self): return _private()\n"
+        "    def dead_method(self): return self._helper()\n")
     (tmp_path / "user.py").write_text(
         "from . import mod\n"
         "from .mod import named\n"
         "TABLE = {'n': named}\n"
-        "mod.attribute()\n")
-    assert unloaded_public_functions(str(tmp_path)) == {"mod.dead"}
+        "mod.attribute()\n"
+        "mod.K().method()\n")
+    assert unloaded_functions(str(tmp_path)) == {"mod.dead", "mod._dead_private",
+                                                 "mod.K.dead_method"}
 
 
 # ---------------------------------------------------------------------------
