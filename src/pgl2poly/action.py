@@ -7,13 +7,14 @@ the criterion polynomials b*x^(q^r + 1) - a*x^(q^r) + d*x - c.
 
 The raw action on forms of degree n is linear in the coefficients: an
 (n+1) x (n+1) matrix M whose columns are the images of 1, x, ..., x^n,
-polynomials.form_matrix on the logs of the columns of A that act hands to
-polynomials._mobius_form.  A monic irreducible f of degree n is fixed by the
-class exactly when M f = lam * f for some nonzero lam, so common_invariants
-finds the invariants of a list of classes in their joint eigenspaces, with no
-scan over the irreducibles.  The matrix, the eigenvalues and the kernel
-vectors are discrete logs throughout.  is_invariant, proj_act and act are the
-direct definition; the tests check the eigenspace search against them.
+polynomials.form_matrix of A, which reads A's columns as
+polynomials._mobius_form does for act.  A monic irreducible f of degree n is
+fixed by the class exactly when M f = lam * f for some nonzero lam, so
+common_invariants finds the invariants of a list of classes in their joint
+eigenspaces, with no scan over the irreducibles.  The matrix, the eigenvalues
+and the kernel vectors are discrete logs throughout.  is_invariant, proj_act
+and act are the direct definition; the tests check the eigenspace search
+against them.
 """
 
 from __future__ import annotations
@@ -34,16 +35,12 @@ from .projective import ContractError, Mat2, ProjMat, lucas_order
 
 def act(m: Mat2, f: Poly) -> Poly:
     """Raw action: sum of f_i (ax+c)^i (bx+d)^(k-i) for k = deg f, one
-    polynomials._mobius_form on the logs of the two columns of m: Taylor
-    shifts and scalings, about half the term operations of the Horner form
-    and no polynomial product."""
+    polynomials._mobius_form of m: Taylor shifts and scalings, about half
+    the term operations of the Horner form and no polynomial product."""
     if not f:
         raise ValueError("the action is undefined on the zero polynomial")
-    spec = m.spec
-    _same(spec, f.ring)
-    log = spec.log
-    return _mobius_form(spec, f.coeffs, log[m.c.n], log[m.a.n],
-                        log[m.d.n], log[m.b.n], f.degree)
+    _same(m.spec, f.ring)
+    return _mobius_form(m.spec, f.coeffs, m, f.degree)
 
 
 def _check_actable(f: Poly):
@@ -183,7 +180,7 @@ def common_invariants(spec: FieldSpec, classes, n: int) -> tuple[Poly, ...]:
             continue
         rep = cls.rep
         D, mu = lucas_order(rep)
-        M = form_matrix(spec, log[rep.c.n], log[rep.a.n], log[rep.d.n], log[rep.b.n], n)
+        M = form_matrix(spec, rep, n)
         target = log[mu.n] * n
         eigen.append([[row[:i] + (_add_logs(spec, row[i:i + 1], [lam], spec.neg)
                                   or [-1]) + row[i + 1:]

@@ -19,8 +19,8 @@ from operator import mul, not_
 from collections.abc import Iterator
 
 from .numutil import MAX_ORDER, is_prime, power, prime_factors
-from .polynomials import (Poly, _logs, _pow_logs, _reducer, is_irreducible,
-                          monic_polys)
+from .polynomials import (Poly, _logs, _pow_logs, _reducer, _same,
+                          is_irreducible, monic_polys)
 
 
 class FieldSpec:
@@ -129,11 +129,6 @@ class Felt:
     def encode(self) -> int:
         return self.n
 
-    def _check(self, other):
-        if self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError(f"mixed field specs: {self.spec.describe()} vs "
-                             f"{other.spec.describe()}")
-
     def _plus(self, lb: int) -> "Felt":
         # self + g^lb = g^la * (1 + g^(lb - la))
         spec = self.spec
@@ -144,11 +139,11 @@ class Felt:
         return spec.zero if z < 0 else Felt(spec, spec.exp[la + z])
 
     def __add__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _same(self.spec, other.spec)
         return self._plus(self.spec.log[other.n]) if other.n else self
 
     def __sub__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _same(self.spec, other.spec)
         return self._plus(self.spec.log[other.n] + self.spec.neg) if other.n else self
 
     def __neg__(self) -> "Felt":
@@ -156,7 +151,7 @@ class Felt:
         return Felt(spec, spec.exp[spec.log[self.n] + spec.neg]) if self.n else self
 
     def __mul__(self, other: "Felt") -> "Felt":
-        self._check(other)
+        _same(self.spec, other.spec)
         spec = self.spec
         if not self.n or not other.n:
             return spec.zero

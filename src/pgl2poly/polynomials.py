@@ -26,11 +26,12 @@ that of square-and-multiply (_pow_logs): always for p <= 7 and for the
 sparse criterion polynomials, for dense f past p = 11 only at low degree.
 The binary form sum c_i u^i v^(k-i) of rational's transform (u, v of any
 degree) is one Horner loop, _form, on term lists of u and v built once, with
-logs unreduced until its one result; act and substitute_mobius (u = ax + c,
-v = bx + d, an invertible matrix's columns) take _mobius_form, two Taylor
-shifts and scalings on one log list, about half the term operations, no
-product; the eigenspace search takes form_matrix, the form's matrix on the
-same column logs, as rows of logs for linalg.nullspace.
+logs unreduced until its one result; act and substitute_mobius pass their
+Mat2 to _mobius_form, which reads u = ax + c and v = bx + d off its columns:
+two Taylor shifts and scalings on one log list, about half the term
+operations, no product; the eigenspace search passes a class's Mat2 to
+form_matrix, the form's matrix, as rows of logs for linalg.nullspace.  Only
+this module knows which entries of the matrix make u and v.
 """
 
 from __future__ import annotations
@@ -367,23 +368,20 @@ def _form(ring, coeffs, lu: list, lv: list) -> Poly:
     return _poly(ring, [exp[x % m] if x >= 0 else 0 for x in acc])
 
 
-def _mobius_form(ring, coeffs, c: int, a: int, d: int, b: int, k: int) -> Poly:
-    # _form in degree k for u = a*x + c, v = b*x + d given by logs, no product.
-    # For b != 0, y = x + d/b gives v = b*y, u = a*y + B, B = (bc - ad)/b, so
-    # v^k C(u/v) = sum_j C1_j B^j (b*y)^(k-j), C1 = C(x + a/b): a shift, the
-    # scalings by B^j and b^l around a reversal into degree k, a shift.  For
-    # b = 0 it is d^k C((a/d)(x + c/a)).  Logs stay unreduced until the result
+def _mobius_form(ring, coeffs, A, k: int) -> Poly:
+    # _form in degree k for u = a*x + c, v = b*x + d, the columns of the Mat2
+    # A, with no product.  For b != 0, y = x + d/b gives v = b*y, u = a*y + B,
+    # B = (bc - ad)/b = -det/b, so v^k C(u/v) = sum_j C1_j B^j (b*y)^(k-j),
+    # C1 = C(x + a/b): a shift, the scalings by B^j and b^l around a reversal
+    # into degree k, a shift.  For b = 0 it is d^k C((a/d)(x + c/a)).  Logs
+    # stay unreduced until the result
     log, zech, m = ring.log, ring.zech, ring.order - 1
-    bc, ad = ([x + y] if x >= 0 and y >= 0 else [] for x, y in ((b, c), (a, d)))
-    det = _add_logs(ring, bc, ad, ring.neg)        # [log(bc - ad)] or []
-    if not det:
-        from .projective import ContractError      # projective loads after this module
-        raise ContractError("the Moebius columns are proportional: ad = bc")
+    a, b, c, d = log[A.a.n], log[A.b.n], log[A.c.n], log[A.d.n]
     t = [log[e] for e in coeffs]
     if b >= 0:
         if a >= 0:
             _taylor_shift(zech, m, t, (a - b) % m)
-        lB, t = (det[0] - b) % m, t[k::-1]
+        lB, t = (log[A.det.n] + ring.neg - b) % m, t[k::-1]
         t = [-1] * (k + 1 - len(t)) + t            # C1_(k-l) at l
         t = [x + (k - l) * lB + l * b if x >= 0 else -1 for l, x in enumerate(t)]
         while t and t[-1] < 0:
@@ -417,13 +415,15 @@ def _taylor_shift(zech, m: int, t: list, s: int):
                 t[j] = y
 
 
-def form_matrix(ring, c: int, a: int, d: int, b: int, k: int) -> list:
+def form_matrix(ring, A, k: int) -> list:
     """The matrix of the linear map coeffs -> sum of coeffs[i] * u^i * v^(k-i)
     on coefficient vectors of length k + 1, for u = a*x + c and v = b*x + d
-    given by logs as in _mobius_form: k + 1 rows of logs (-1 for zero), with
-    the coefficients of u^i * v^(k-i) down column i, each column one product
-    from the power lists u^0..u^k and v^0..v^k."""
-    lu, lv, up, vp = [c, a], [d, b], [[0]], [[0]]
+    the columns of the Mat2 A, as in _mobius_form: k + 1 rows of logs (-1 for
+    zero), with the coefficients of u^i * v^(k-i) down column i, each column
+    one product from the power lists u^0..u^k and v^0..v^k."""
+    log = ring.log
+    lu, lv = [log[A.c.n], log[A.a.n]], [log[A.d.n], log[A.b.n]]
+    up, vp = [[0]], [[0]]
     for _ in range(k):
         up.append(_mul_logs(ring, up[-1], lu))
         vp.append(_mul_logs(ring, vp[-1], lv))

@@ -3,12 +3,13 @@
 For a non-identity class of order D there is a rational function Q = num/den
 of degree D, fixed by the Moebius substitution of the class, such that the
 invariants of degree D*m are exactly the monic rescalings of
-den^m * F(num/den) with F of degree m, transform: the binary form of F in num and den,
-polynomials._form.  F, num, den and the matrix of substitute_mobius lie over
-one field; a mix raises ValueError.  Q is the reduced map Q_red of the class's
-type, x^D, x^p - x, x + b/x or g/h, after the Moebius change by the class's
-conjugator.  The coefficients of g and h are the order's own sequence: the
-Cayley-Hamilton sequence of the reduced matrix, projective.lucas.
+den^m * F(num/den) with F of degree m, transform: the binary form of F in
+num and den, polynomials._form.  F, num, den and the matrix substitute_mobius
+hands to polynomials._mobius_form lie over one field; a mix raises
+ValueError.  Q is the reduced map Q_red of the class's type, x^D, x^p - x,
+x + b/x or g/h, after the Moebius change by the class's conjugator.  The
+coefficients of g and h are the order's own sequence: the Cayley-Hamilton
+sequence of the reduced matrix, projective.lucas.
 
 Which F give an irreducible transform is decided from F alone, with no
 irreducibility test on the degree-D*m result.  The Moebius change keeps
@@ -119,16 +120,15 @@ def q_map(m: Mat2) -> QConstruction:
 
 def substitute_mobius(Q: RationalMap, m: Mat2) -> RationalMap:
     """Q((ax+c)/(bx+d)) as the pair of degree-Q.degree forms in (ax+c, bx+d),
-    each one polynomials._mobius_form on the logs of m's columns; not
-    reduced: compare it with Q by cross-multiplying, or normalize both."""
+    each one polynomials._mobius_form of m; not reduced: compare it with Q
+    by cross-multiplying, or normalize both."""
     n, spec = Q.degree, m.spec
     _same(spec, Q.num.ring)
     _same(spec, Q.den.ring)
     if n < max(Q.num.degree, Q.den.degree):
         raise ValueError(f"map degree {n} is below the degree of its num or den")
-    cols = [spec.log[e.n] for e in (m.c, m.a, m.d, m.b)]
-    return RationalMap(_mobius_form(spec, Q.num.coeffs, *cols, n),
-                       _mobius_form(spec, Q.den.coeffs, *cols, n), n)
+    return RationalMap(_mobius_form(spec, Q.num.coeffs, m, n),
+                       _mobius_form(spec, Q.den.coeffs, m, n), n)
 
 
 def transform(F: Poly, Q: RationalMap) -> Poly:

@@ -93,6 +93,7 @@ def suite_action_laws(spec: FieldSpec, seed: int = 12345):
         triples = [(A, B, f) for A in classes for B in classes
                    for n in degrees for f in enumerate_monic_irreducibles(spec, n)]
     else:
+        enumerate_monic_irreducibles(spec, degrees[-1])   # refused before any draw
         triples = []
         for _ in range(1000):
             n = rng.choice(list(degrees))
@@ -142,6 +143,7 @@ def suite_criterion(spec: FieldSpec, seed: int = 12345):
                  for f in enumerate_monic_irreducibles(spec, n)]
     else:
         degree_range = range(2, 7) if q <= 5 else range(2, 5)
+        enumerate_monic_irreducibles(spec, degree_range[-1])   # refused before any draw
         pairs = [(_random_class(spec, rng),
                   _random_irreducible(spec, rng.choice(list(degree_range)), rng))
                  for _ in range(300)]

@@ -10,7 +10,7 @@ from pgl2poly import (Felt, FieldSpec, Mat2, Poly, act, divrem, divides,
 from pgl2poly import action, polynomials
 from pgl2poly.rational import RationalMap, substitute_mobius, transform
 from pgl2poly.numutil import divisors
-from pgl2poly.projective import ContractError, ProjMat, all_classes, reduced_type4
+from pgl2poly.projective import ProjMat, all_classes, reduced_type4
 from pgl2poly.verify import type_representatives
 
 
@@ -202,14 +202,12 @@ def test_form_matrix_matches_homogenize(p, s):
     # column i is the form of x^i in u = a*x + c and v = b*x + d, from power
     # lists, for the columns of every class, a = 0 and b = 0 included
     ring = make_field(p, s)
-    log = ring.log
     mats = [cls.rep for cls in all_classes(ring)]
     assert any(not m.a for m in mats) and any(not m.b for m in mats)
     for m in mats:
         u, v = _linear_forms(m)
-        cols = [log[e.n] for e in (m.c, m.a, m.d, m.b)]
         for k in range(9):
-            rows = polynomials.form_matrix(ring, *cols, k)
+            rows = polynomials.form_matrix(ring, m, k)
             assert len(rows) == k + 1 and all(len(row) == k + 1 for row in rows)
             for i in range(k + 1):
                 col = _naive_form((0,) * i + (1,), u, v, k)
@@ -493,33 +491,32 @@ def test_mobius_form_matches_power_lists_on_every_class(p, s):
     # coefficient lists with a zero lowest or a zero highest entry, and k up
     # to two above the degree; k = 30 keeps the logs unreduced over long shifts
     ring = make_field(p, s)
-    log, q = ring.log, ring.order
+    q = ring.order
     rng = random.Random(q * 7 + s)
     mats = [cls.rep for cls in all_classes(ring)]
     for entry in "abcd":
         assert any(not getattr(m, entry) for m in mats)
     for i, m in enumerate(mats):
         u, v = _linear_forms(m)
-        cols = [log[e.n] for e in (m.c, m.a, m.d, m.b)]
         for trial in range(3):
             coeffs = [rng.randrange(q) for _ in range(rng.randrange(1, 6))]
             if trial:
                 coeffs[0 if trial == 1 else -1] = 0    # zero lowest or highest
             top = Poly(ring, coeffs).degree
             for k in [*range(max(top, 0), top + 3), *([30] if i % 50 == 0 else [])]:
-                assert polynomials._mobius_form(ring, tuple(coeffs), *cols, k) == (
+                assert polynomials._mobius_form(ring, tuple(coeffs), m, k) == (
                     _naive_form(coeffs[:top + 1], u, v, k))
 
 @pytest.mark.parametrize("p,s", [(3, 1), (2, 2)])
-def test_mobius_form_rejects_proportional_columns(p, s):
-    # every singular [[a, b], [c, d]], a zero column included
+def test_no_singular_matrix_reaches_the_mobius_form(p, s):
+    # _mobius_form and form_matrix take a Mat2, and Mat2 refuses every
+    # singular [[a, b], [c, d]], a zero column included, with an explicit
+    # check that python -O keeps
     ring = make_field(p, s)
-    log = ring.log
     for a, b, c, d in product(ring.elements(), repeat=4):
         if a * d == b * c:
-            with pytest.raises(ContractError):
-                polynomials._mobius_form(ring, (1, 1), log[c.n], log[a.n],
-                                         log[d.n], log[b.n], 1)
+            with pytest.raises(ValueError, match="singular"):
+                Mat2(a, b, c, d)
 
 def test_act_and_substitute_mobius_make_no_product(monkeypatch):
     # the Moebius form is two Taylor shifts and scalings; the Horner loop it

@@ -2,13 +2,14 @@
 draw, and the rule that the package holds no cache beyond a fixed few."""
 
 import ast
+import functools
 import glob
 import os
 import random
 
 import pytest
 
-from pgl2poly import Mat2, action, make_field, verify
+from pgl2poly import Mat2, action, cli, make_field, polynomials, verify
 
 
 def _felt_random_matrix(spec, rng):
@@ -45,6 +46,24 @@ def test_action_laws_act_once_per_distinct_pair(monkeypatch, F2):
     assert all(r.passed for r in rows)
     assert [r.detail for r in rows[:4]] == ["432 cases"] * 4
     assert len(calls) <= 72 + 600
+
+
+@pytest.mark.parametrize("suite", ["action-laws", "criterion"])
+def test_sampled_suites_refuse_before_any_draw(monkeypatch, capsys, suite):
+    # over GF(37) the degree-4 enumeration is past the bound (37^4 > 2^20):
+    # the suite exits 2 before it enumerates degrees 2 and 3 for its draws.
+    # The enumeration gets a fresh cache, so an earlier test's scan of
+    # GF(37) cannot hide one here
+    calls, is_irreducible = [], polynomials.is_irreducible
+    monkeypatch.setattr(polynomials, "is_irreducible",
+                        lambda f: calls.append(f) or is_irreducible(f))
+    monkeypatch.setattr(verify, "enumerate_monic_irreducibles", functools.cache(
+        polynomials.enumerate_monic_irreducibles.__wrapped__))
+    assert cli.main(["verify", "--suite", suite, "--p", "37"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the enumeration of degree 4 over GF(37) is too large: it needs "
+        "q^n <= 2^20\n")
+    assert not calls
 
 
 @pytest.mark.parametrize("seed", [7, 12345])
@@ -308,3 +327,64 @@ def test_import_scan_sees_unloaded_names(tmp_path):
         "    import json\n"
         "    return os.path.sep, gcd(4, 6), least\n")
     assert unused_test_imports(str(tmp_path)) == {"test_mod.rnd", "test_mod.sys"}
+
+
+# ---------------------------------------------------------------------------
+# the import rule: a layer module imports the package's modules at its top,
+# never inside a function, so the import order of the layers is read off the
+# module heads; a stdlib import kept out of start-up stays allowed
+
+
+def function_level_package_imports(src_dir: str) -> set[str]:
+    """module.name for every function or method of a module in src_dir whose
+    body, nested functions included, imports a module of the package: a
+    relative import, or an import of pgl2poly or one of its modules."""
+    found = set()
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom):
+                    names = ["pgl2poly" if inner.level else inner.module]
+                elif isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "pgl2poly" for name in names):
+                    found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_no_function_imports_a_package_module():
+    assert function_level_package_imports(SRC_DIR) == set()
+
+
+def test_function_import_scan_sees_relative_and_absolute_imports(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from fractions import Fraction\n"
+        "from .other import top\n"
+        "import pgl2poly.fields\n"
+        "def stdlib():\n"
+        "    from fractions import Fraction\n"
+        "    import json, os.path\n"
+        "def relative():\n"
+        "    from .other import thing\n"
+        "def package():\n"
+        "    from . import other\n"
+        "def absolute():\n"
+        "    import json, pgl2poly.fields\n"
+        "def absolute_from():\n"
+        "    from pgl2poly.fields import make_field\n"
+        "def lookalike():\n"
+        "    import pgl2polyx\n"
+        "class K:\n"
+        "    def method(self):\n"
+        "        if self:\n"
+        "            from pgl2poly import fields\n")
+    assert function_level_package_imports(str(tmp_path)) == {
+        "mod.relative", "mod.package", "mod.absolute", "mod.absolute_from",
+        "mod.method"}
