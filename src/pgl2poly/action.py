@@ -110,8 +110,10 @@ def criterion_invariant(m: Mat2, f: Poly) -> bool:
     return False
 
 
-def subgroup_closure(generators) -> frozenset[ProjMat]:
-    """Closure of the generated subgroup under multiplication (BFS)."""
+def subgroup_closure(generators, limit=None) -> frozenset[ProjMat] | None:
+    """Closure of the generated subgroup under multiplication (BFS), or None
+    when a limit is given and the closure has more classes: the search stops
+    at the first level past it."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -129,6 +131,8 @@ def subgroup_closure(generators) -> frozenset[ProjMat]:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
+        if limit is not None and len(seen) > limit:
+            return None
         if len(seen) > bound:
             raise ContractError("closure outgrew PGL2(GF(q))")
     return frozenset(seen)

@@ -6,10 +6,14 @@ text and as coefficient-encoding lists.  Exit codes: 0 success, 1 property
 or agreement failure or a failed internal check, 2 usage or validation
 error.
 
-Every request takes one path through main, which validates in a fixed order:
-the field, then --matrix (for all but verify), which starts the payload with
-its "field" and "matrix" keys, then the command's own rules.  Each cmd_*
-appends only its own keys, in the order of the TSV columns.
+Every request takes one path through main.  When the first argument names
+a command, that command's parser reads the rest, as the full parse would
+hand it over; with no command, an unknown one, a top-level option or
+arguments left over, the full parse runs, so every usage, help and error
+text comes from the same argparse objects.  main then validates in a fixed
+order: the field, then --matrix (for all but verify), which starts the
+payload with its "field" and "matrix" keys, then the command's own rules.
+Each cmd_* appends only its own keys, in the order of the TSV columns.
 """
 
 from __future__ import annotations
@@ -208,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices               # command name -> its parser
     return parser
 
 
@@ -215,7 +220,13 @@ _parser = functools.cache(build_parser)       # built on first use, then reused
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if sub is None or extra:
+        args = parser.parse_args(argv)
     try:
         spec = make_field(args.p, args.s)
         if args.command == "verify":

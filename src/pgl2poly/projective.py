@@ -159,37 +159,60 @@ def lucas(m: Mat2) -> list[Felt]:
     By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
     with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A^j is scalar
     exactly when u_j = 0, so D is the first such j >= 1 and mu = u_(D+1) =
-    -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p."""
-    u = list(_lucas_walk(m))
-    u.append(-m.det * u[-2])
-    return u
+    -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p.
+    The terms are _lucas_walk's logs, each made a Felt here."""
+    spec = m.spec
+    return [Felt(spec, spec.exp[k]) if k >= 0 else spec.zero
+            for k in _lucas_walk(m)]
 
 
 def lucas_order(m: Mat2) -> tuple[int, Felt]:
     """(D, mu) of lucas(m), from a walk that keeps the last two terms."""
-    (_, last), (D, _) = deque(enumerate(_lucas_walk(m)), maxlen=2)
-    return D, -m.det * last
+    (D, _), (_, mu) = deque(enumerate(_lucas_walk(m)), maxlen=2)
+    return D, Felt(m.spec, m.spec.exp[mu])
 
 
 def _lucas_walk(m: Mat2):
-    # u_0, ..., u_D of lucas(m); D is checked before u_D = 0 is yielded
+    """The logs (-1 for zero) of u_0, ..., u_D and mu = u_(D+1) of lucas(m);
+    D is checked before u_D = 0 is yielded.  With t = log tr and e =
+    log(-det), each step u_(j+1) = g^(t + log u_j) + g^(e + log u_(j-1)) is
+    one Zech addition.  u_2 = tr, so a zero trace ends the walk at D = 2."""
     if m.is_scalar():
         raise ValueError("a scalar matrix has no Lucas sequence")
-    spec, tr, det = m.spec, m.trace, m.det
-    q = spec.order
-    u, v, D = spec.zero, spec.one, 1                # u_(D-1), u_D
-    while v:
+    spec = m.spec
+    q, zech = spec.order, spec.zech
+    n = q - 1
+    t = spec.log[m.trace.n]
+    e = (spec.log[m.det.n] + spec.neg) % n
+    yield -1                                    # u_0 = 0
+    u, v, D = 0, t, 2                           # logs of u_(D-1), u_D
+    while v >= 0:                               # so tr != 0 and t >= 0
         yield u
-        u, v, D = v, tr * v - det * u, D + 1
+        a = t + v
+        z = zech[(e + u - a) % n]
+        u, v, D = v, (a + z) % n if z >= 0 else -1, D + 1
         if D > q + 1:
             raise ContractError("projective order exceeded q+1")
     if D not in {spec.p} | set(divisors(q - 1)) | set(divisors(q + 1)):
         raise ContractError(f"order {D} outside the admissible divisor set")
-    yield from (u, v)
+    yield from (u, v, (e + u) % n)
 
 
 def proj_eq(m1: Mat2, m2: Mat2) -> bool:
-    return ProjMat(m1) == ProjMat(m2)
+    """[m1] == [m2]: one field, zeros in the same places and one log ratio
+    log x1 - log x2 over every pair of nonzero entries; the same answer as
+    ProjMat(m1) == ProjMat(m2) with no normalized matrix built."""
+    spec = m1.spec
+    if spec != m2.spec:
+        return False
+    log, n = spec.log, spec.order - 1
+    ratios = set()
+    for x, y in zip(m1.entries(), m2.entries()):
+        if x.n and y.n:
+            ratios.add((log[x.n] - log[y.n]) % n)
+        elif x.n or y.n:
+            return False
+    return len(ratios) == 1
 
 
 def all_classes(spec: FieldSpec) -> list[ProjMat]:

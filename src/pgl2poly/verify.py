@@ -291,8 +291,8 @@ def _sample_noncyclic_subgroups(spec, rng, want: int):
         g1, g2 = rng.choice(small), rng.choice(small)
         if g1 == g2:
             continue
-        group = subgroup_closure([g1, g2])
-        if len(group) <= 60 and not is_cyclic(group):
+        group = subgroup_closure([g1, g2], limit=60)
+        if group is not None and not is_cyclic(group):
             found.append(((g1, g2), group))
     return found
 

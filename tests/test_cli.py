@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ import time
 import pytest
 
 from conftest import SRC, run_cli
-from pgl2poly.cli import main
+from pgl2poly import cli
+from pgl2poly.cli import build_parser, main
 
 
 def test_classify_type4(F5):
@@ -400,3 +403,76 @@ def test_tsv_has_fixed_header():
                   "--n", "4", "--method", "all", "--format", "tsv")
     header = res.stdout.splitlines()[0].split("\t")
     assert header[0] == "field" and "formula" in header
+
+
+# ---------------------------------------------------------------------------
+# one parse: main hands the arguments after a command's name to that
+# command's parser, and takes the full parse for anything else; every usage,
+# help and error text still comes from the same argparse objects
+
+def _outcome(call):
+    # (exit code, stdout, stderr) of call(), a SystemExit read as its code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+MATRIX = ("--matrix", "0,1,1,0")
+MALFORMED_ARGV = [
+    (), ("-h",), ("--help",), ("frobnicate",), ("class", "--p", "3", *MATRIX),
+    ("classify", "-h"), ("verify", "--help"), ("-x", "classify"),
+    ("classify", "--p", "3"), ("verify", "--p", "3"),
+    ("classify", "--p", "x", *MATRIX), ("count", "--p", "3", *MATRIX, "--n", "two"),
+    ("classify", "--p", "3", *MATRIX, "--format", "xml"),
+    ("verify", "--p", "3", "--suite", "nope"),
+    ("classify", "--p", "3", *MATRIX, "extra"), ("classify", "--p", "3", *MATRIX, "--bogus"),
+    ("classify", "--p", "3", *MATRIX, "--"), ("classify", "--", "--p", "3", *MATRIX),
+    ("--", "classify", "--p", "3", *MATRIX),
+    ("classify", "--p=3"), ("classify", "--p=x", *MATRIX),
+    ("classify", "--mat", "0,1,1,0"), ("classify", "--p", "3", "--mat"),
+    ("classify", "--p", "3", "--p", "5"), ("classify", "--p", "3", "--p"),
+]
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV,
+                         ids=[" ".join(argv) or "(none)" for argv in MALFORMED_ARGV])
+def test_malformed_argv_reads_as_the_full_parse(argv):
+    want = _outcome(lambda: build_parser().parse_args(list(argv)))
+    assert want[0] in (0, 2)                # help, or a usage error
+    assert _outcome(lambda: main(list(argv))) == want
+
+@pytest.mark.parametrize("variant,canonical", [
+    (("classify", "--p=5", "--matrix=0,1,4,1"), ("classify", "--p", "5", "--matrix", "0,1,4,1")),
+    (("classify", "--p", "5", "--mat", "0,1,4,1"), ("classify", "--p", "5", "--matrix", "0,1,4,1")),
+    (("classify", "--p", "7", "--p", "5", "--matrix", "0,1,4,1"),
+     ("classify", "--p", "5", "--matrix", "0,1,4,1")),
+    (("count", "--p", "3", "--matrix", "0,1,2,0", "--n", "4", "--method", "brute",
+      "--method", "all"), ("count", "--p", "3", "--matrix", "0,1,2,0", "--n", "4")),
+])
+def test_spellings_of_one_request_agree(variant, canonical):
+    parse = build_parser().parse_args
+    assert parse(list(variant)) == parse(list(canonical))
+    assert _outcome(lambda: main(list(variant))) == _outcome(lambda: main(list(canonical)))
+
+def test_golden_requests_skip_the_full_parse(monkeypatch):
+    # each golden request names its command, so main parses it once, with
+    # that command's parser; make_field, the first step after the parse,
+    # ends the request
+    with open(os.path.join(os.path.dirname(__file__), "golden", "cli.json")) as fh:
+        cases = json.load(fh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a well-formed request took the full parse")
+
+    class Parsed(Exception):
+        pass
+
+    def parsed(p, s):
+        raise Parsed(p, s)
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli, "make_field", parsed)
+    for case in cases:
+        with pytest.raises(Parsed):
+            main(case["argv"])

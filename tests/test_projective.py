@@ -9,7 +9,8 @@ from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       reduce, reduced_type1, reduced_type2, reduced_type4,
                       sigma_product)
 from pgl2poly import projective
-from pgl2poly.projective import lucas_order
+from pgl2poly.fields import FieldSpec
+from pgl2poly.projective import ContractError, lucas_order
 
 
 def _rand_matrix(spec, rng):
@@ -64,6 +65,46 @@ def test_projective_scaling(F5):
 def test_proj_eq_up_to_scalar(F5):
     assert proj_eq(Mat2.from_encodings(F5, (2, 4, 0, 2)),
                    Mat2.from_encodings(F5, (1, 2, 0, 1)))
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1)])
+def test_proj_eq_matches_the_normal_form(p, s):
+    # every pair of (class representative * nonzero scalar) against
+    # ProjMat(m1) == ProjMat(m2)
+    spec = make_field(p, s)
+    mats = [cls.rep.scale(t) for cls in all_classes(spec)
+            for t in spec.elements() if t]
+    normal = [ProjMat(m) for m in mats]
+    wrong = [(m1, m2) for m1, n1 in zip(mats, normal)
+             for m2, n2 in zip(mats, normal) if proj_eq(m1, m2) != (n1 == n2)]
+    assert wrong == []
+
+def test_proj_eq_refuses_another_zero_pattern(F5):
+    # m2 is a class representative with one zero entry filled, scaled: the
+    # entries nonzero in both are proportional, the zero patterns differ
+    units = [t for t in F5.elements() if t]
+    pairs = 0
+    for cls in all_classes(F5):
+        codes = [x.n for x in cls.rep.entries()]
+        for i in (i for i, n in enumerate(codes) if not n):
+            for fill in range(1, 5):
+                try:
+                    filled = Mat2.from_encodings(F5, codes[:i] + [fill] + codes[i + 1:])
+                except ValueError:                      # singular
+                    continue
+                for t in units:
+                    m2 = filled.scale(t)
+                    assert ProjMat(cls.rep) != ProjMat(m2)
+                    assert not proj_eq(cls.rep, m2) and not proj_eq(m2, cls.rep)
+                    pairs += 1
+    assert pairs > 1000
+
+@pytest.mark.parametrize("pq", [((3, 1), (3, 2)), ((2, 1), (2, 2)), ((5, 1), (3, 1))])
+def test_proj_eq_across_fields_is_false(pq):
+    F, G = (make_field(p, s) for p, s in pq)
+    for codes in ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (0, 1, 1, 1)):
+        m1, m2 = Mat2.from_encodings(F, codes), Mat2.from_encodings(G, codes)
+        assert (ProjMat(m1) == ProjMat(m2)) is False
+        assert proj_eq(m1, m2) is False and proj_eq(m2, m1) is False
 
 def test_proj_inverse(F5):
     rng = random.Random(1)
@@ -219,6 +260,84 @@ def test_lucas_matches_repeated_products(p, s):
                                        u[j] * A.c, u[j] * A.d - t)
             power = power * A
 
+def felt_lucas(m):
+    # reference: lucas(m) by the Felt recurrence u_(j+1) = tr*u_j - det*u_(j-1),
+    # two products per step, with the walk's two checks
+    if m.is_scalar():
+        raise ValueError("a scalar matrix has no Lucas sequence")
+    spec, tr, det = m.spec, m.trace, m.det
+    q = spec.order
+    u = [spec.zero, spec.one]
+    while u[-1]:
+        u.append(tr * u[-1] - det * u[-2])
+        if len(u) - 1 > q + 1:
+            raise ContractError("projective order exceeded q+1")
+    if len(u) - 1 not in ({spec.p} | set(projective.divisors(q - 1))
+                          | set(projective.divisors(q + 1))):
+        raise ContractError(f"order {len(u) - 1} outside the admissible divisor set")
+    return u + [-det * u[-2]]
+
+def assert_walk_matches_felt_lucas(m):
+    u = felt_lucas(m)
+    D = len(u) - 2
+    assert lucas(m) == u
+    assert lucas_order(m) == (D, u[-1])
+    assert ProjMat(m).order() == D
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_lucas_walk_matches_felt_reference_on_every_class(p, s):
+    # each representative and its multiple by the primitive element exp[1]
+    spec = make_field(p, s)
+    g = spec.from_encoding(spec.exp[1])
+    for cls in all_classes(spec):
+        if not cls.is_identity():
+            assert_walk_matches_felt_lucas(cls.rep)
+            assert_walk_matches_felt_lucas(cls.rep.scale(g))
+
+@pytest.mark.parametrize("p,s", [(5, 2), (3, 3), (7, 2), (53, 1), (101, 1)])
+def test_lucas_walk_matches_felt_reference_on_hidden_classes(p, s):
+    # a hidden conjugate of a class of every admissible order, random
+    # matrices, and zero-trace matrices [[a, b], [c, -a]] (order 2)
+    spec = make_field(p, s)
+    q = spec.order
+    rng = random.Random(q)
+    admissible = {spec.p} | {d for d in range(2, q + 2)
+                             if (q - 1) % d == 0 or (d > 2 and (q + 1) % d == 0)}
+    hidden = []
+    for D in sorted(admissible):
+        P = _rand_matrix(spec, rng)
+        hidden.append(P * element_of_order(spec, D).rep * P.inverse())
+    hidden += [_rand_matrix(spec, rng) for _ in range(50)]
+    zero_trace = 0
+    while zero_trace < 20:
+        a, b, c = (spec.from_encoding(rng.randrange(q)) for _ in range(3))
+        if (b or c) and a * a + b * c:
+            hidden.append(Mat2(a, b, c, -a))
+            zero_trace += 1
+    for m in hidden:
+        if not m.is_scalar():
+            assert_walk_matches_felt_lucas(m)
+    assert {len(felt_lucas(m)) - 2 for m in hidden[:len(admissible)]} == admissible
+
+def test_lucas_walk_refuses_an_inadmissible_order(monkeypatch, F5):
+    # with no admissible divisors the order 4 of diag(2, 1) is refused
+    monkeypatch.setattr(projective, "divisors", lambda n: [1])
+    m = Mat2.from_encodings(F5, (2, 0, 0, 1))
+    for walk in (felt_lucas, lucas, lucas_order, lambda m: ProjMat(m).order()):
+        with pytest.raises(ContractError, match="outside the admissible divisor set"):
+            walk(m)
+
+def test_lucas_walk_refuses_an_order_past_q_plus_one():
+    # in a copy of GF(5) whose Zech table never gives 1 + g^k = 0, no sum
+    # cancels, so u_j never vanishes and the walk passes q + 1
+    spec = FieldSpec(5, 1, (0, 1))
+    spec.zech = [max(z, 0) for z in spec.zech]
+    m = Mat2.from_encodings(spec, (0, 1, 4, 1))
+    for walk in (felt_lucas, lucas, lucas_order, lambda m: ProjMat(m).order()):
+        with pytest.raises(ContractError, match="exceeded q"):
+            walk(m)
+
 def test_lucas_rejects_scalar_matrices(F2, F5):
     # a*I has u_j = j*a^(j-1), first zero at j = p: no order to read off
     for m in (Mat2.identity(F2), Mat2.identity(F5).scale(F5.from_encoding(3))):
@@ -226,18 +345,23 @@ def test_lucas_rejects_scalar_matrices(F2, F5):
             lucas(m)
 
 def test_order_cost_is_two_products_per_power(monkeypatch):
-    # the order steps a two-term recurrence: two field products per power
+    # the order steps its two-term recurrence on logs, one Zech addition per
+    # power, so its Felt products and sums do not grow with D; a Felt step
+    # would make two products and a difference per power
     spec = make_field(401, 1)
-    cls = element_of_order(spec, 402)
+    classes = {D: element_of_order(spec, D) for D in (2, 3, 25, 401, 402)}
     calls = [0]
-    mul = Felt.__mul__
+    for name in ("__mul__", "__add__", "__sub__"):
+        op = getattr(Felt, name)
 
-    def counted(x, y):
-        calls[0] += 1
-        return mul(x, y)
-    monkeypatch.setattr(Felt, "__mul__", counted)
-    assert cls.order() == 402
-    assert calls[0] <= 2 * (spec.order + 1)
+        def counted(x, y, op=op):
+            calls[0] += 1
+            return op(x, y)
+        monkeypatch.setattr(Felt, name, counted)
+    for D, cls in classes.items():
+        calls[0] = 0
+        assert cls.order() == D
+        assert calls[0] <= 2
 
 def test_order_keeps_two_lucas_terms():
     # order() walks the sequence without the list u_0..u_(D+1): for the

@@ -153,6 +153,51 @@ def test_pgroup_draws_the_pairs_of_repeated_addition(monkeypatch, p, s, seed):
     assert row.passed and f"({len(spans)} spans)" in row.detail
 
 
+def _full_closure_samples(spec, rng, want):
+    # the reference sampler: every closure built in full, then kept when it
+    # has at most 60 classes and is not cyclic
+    classes = [cls for cls in verify.all_classes(spec) if not cls.is_identity()]
+    small = [cls for cls in classes if cls.order() <= 4]
+    found, attempts = [], 0
+    while len(found) < want and attempts < 5000:
+        attempts += 1
+        g1, g2 = rng.choice(small), rng.choice(small)
+        if g1 == g2:
+            continue
+        group = action.subgroup_closure([g1, g2])
+        if len(group) <= 60 and not action.is_cyclic(group):
+            found.append(((g1, g2), group))
+    return found
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("seed", [1, 12345])
+def test_noncyclic_samples_match_full_closures(monkeypatch, p, seed):
+    # closures stopped past 60 classes give the same samples and rng draws;
+    # PGL2(GF(5)) has 120 classes and PGL2(GF(7)) 336, so stops are taken
+    spec = make_field(p, 1)
+    capped, full = random.Random(seed), random.Random(seed)
+    stopped, closure = [], action.subgroup_closure
+    monkeypatch.setattr(verify, "subgroup_closure", lambda gens, limit=None:
+                        closure(gens, limit) or stopped.append(gens))
+    assert (verify._sample_noncyclic_subgroups(spec, capped, 20)
+            == _full_closure_samples(spec, full, 20))
+    assert capped.getstate() == full.getstate()
+    assert stopped
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (2, 2), (5, 1)])
+def test_closure_with_a_limit_is_none_exactly_past_it(p, s):
+    classes = [cls for cls in verify.all_classes(make_field(p, s)) if not cls.is_identity()]
+    rng = random.Random(p)
+    for _ in range(40):
+        gens = rng.sample(classes, 2)
+        full = action.subgroup_closure(gens)
+        for limit in (1, len(full) - 1, len(full), 60):
+            want = full if len(full) <= limit else None
+            assert action.subgroup_closure(gens, limit) == want
+
+
 # ---------------------------------------------------------------------------
 # the cache rule: a process-wide cache keeps later bench passes warm, so only
 # these may exist, and the bench empties the ones that hold results
