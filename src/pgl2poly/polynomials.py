@@ -31,7 +31,10 @@ Mat2 to _mobius_form, which reads u = ax + c and v = bx + d off its columns:
 two Taylor shifts and scalings on one log list, about half the term
 operations, no product; the eigenspace search passes a class's Mat2 to
 form_matrix, the form's matrix, as rows of logs for linalg.nullspace.  Only
-this module knows which entries of the matrix make u and v.
+this module knows which entries of the matrix make u and v; _columns hands
+them to rational as log pairs.  _lin_pow writes a power (ax + c)^e of one
+such form in O(e) with no product, from Lucas's theorem on the base-p digits
+of e; rational.q_map builds its pair from these powers.
 """
 
 from __future__ import annotations
@@ -413,6 +416,43 @@ def _taylor_shift(zech, m: int, t: list, s: int):
                     z = zech[(y - x) % m]
                     y = x + z if z >= 0 else -1
                 t[j] = y
+
+
+def _columns(ring, A) -> tuple:
+    # the columns of the Mat2 A as linear forms u = a*x + c, v = b*x + d:
+    # ((log a, log c), (log b, log d)), the arguments of _lin_pow
+    log = ring.log
+    return (log[A.a.n], log[A.c.n]), (log[A.b.n], log[A.d.n])
+
+
+def _lin_pow(ring, la: int, lc: int, e: int) -> list:
+    # the logs of (g^la*x + g^lc)^e, trimmed and reduced, la or lc -1 for a
+    # zero coefficient (not both), by Lucas's theorem: over the base-p digits
+    # e_j of e, (a*x + c)^e = prod_j (a^P x^P + c^P)^(e_j) with P = p^j.  The
+    # factors below P make a polynomial of degree below P, so the factor at P
+    # places shifted copies of it with no sum.  C(e_j, i) mod p is an integer
+    # below p, its own encoding, stepped on logs by (e_j - i)/(i + 1)
+    m = ring.order - 1
+    if la < 0:
+        return [e * lc % m]
+    if lc < 0:
+        return [-1] * e + [e * la % m]
+    log, p = ring.log, ring.p
+    out, P = [0], 1                                # the factors below P
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            A, C = P * la % m, P * lc % m          # logs of a^P and c^P
+            pad, nxt, b = [-1] * (P - len(out)), [], 0   # b = log C(d, i)
+            for i in range(d + 1):
+                s = b + i * A + (d - i) * C
+                nxt += [x + s if x >= 0 else -1 for x in out]
+                if i < d:
+                    nxt += pad
+                    b = (b + log[d - i] - log[i + 1]) % m
+            out = nxt
+        P *= p
+    return [x % m if x >= 0 else -1 for x in out]
 
 
 def form_matrix(ring, A, k: int) -> list:

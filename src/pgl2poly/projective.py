@@ -152,31 +152,25 @@ class ProjMat:
         return f"[{self.rep!r}]"
 
 
-def lucas(m: Mat2) -> list[Felt]:
-    """u_0, ..., u_D and then mu, for a non-scalar m whose class has order D
-    (in divisors(q-1) | {p} | divisors(q+1)) and m^D = mu*I.
-
-    By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
-    with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A^j is scalar
-    exactly when u_j = 0, so D is the first such j >= 1 and mu = u_(D+1) =
-    -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p.
-    The terms are _lucas_walk's logs, each made a Felt here."""
-    spec = m.spec
-    return [Felt(spec, spec.exp[k]) if k >= 0 else spec.zero
-            for k in _lucas_walk(m)]
-
-
 def lucas_order(m: Mat2) -> tuple[int, Felt]:
-    """(D, mu) of lucas(m), from a walk that keeps the last two terms."""
+    """(D, mu) of m's Lucas sequence (_lucas_walk), keeping the last two
+    terms of the walk."""
     (D, _), (_, mu) = deque(enumerate(_lucas_walk(m)), maxlen=2)
     return D, Felt(m.spec, m.spec.exp[mu])
 
 
 def _lucas_walk(m: Mat2):
-    """The logs (-1 for zero) of u_0, ..., u_D and mu = u_(D+1) of lucas(m);
-    D is checked before u_D = 0 is yielded.  With t = log tr and e =
-    log(-det), each step u_(j+1) = g^(t + log u_j) + g^(e + log u_(j-1)) is
-    one Zech addition.  u_2 = tr, so a zero trace ends the walk at D = 2."""
+    """The logs (-1 for zero) of u_0, ..., u_D and then mu, for a non-scalar
+    m whose class has order D (in divisors(q-1) | {p} | divisors(q+1)) and
+    m^D = mu*I; D is checked before u_D = 0 is yielded.
+
+    By Cayley-Hamilton A^2 = tr*A - det*I, so A^j = u_j*A - det*u_(j-1)*I
+    with u_0 = 0, u_1 = 1, u_(j+1) = tr*u_j - det*u_(j-1).  A^j is scalar
+    exactly when u_j = 0, so D is the first such j >= 1 and mu = u_(D+1) =
+    -det*u_(D-1).  A scalar a*I has u_j = j*a^(j-1): the false order p.
+    With t = log tr and e = log(-det), each step u_(j+1) = g^(t + log u_j) +
+    g^(e + log u_(j-1)) is one Zech addition.  u_2 = tr, so a zero trace
+    ends the walk at D = 2."""
     if m.is_scalar():
         raise ValueError("a scalar matrix has no Lucas sequence")
     spec = m.spec

@@ -7,9 +7,16 @@ den^m * F(num/den) with F of degree m, transform: the binary form of F in
 num and den, polynomials._form.  F, num, den and the matrix substitute_mobius
 hands to polynomials._mobius_form lie over one field; a mix raises
 ValueError.  Q is the reduced map Q_red of the class's type, x^D, x^p - x,
-x + b/x or g/h, after the Moebius change by the class's conjugator.  The
-coefficients of g and h are the order's own sequence: the Cayley-Hamilton
-sequence of the reduced matrix, projective.lucas.
+x + b/x or g/h, after the Moebius change by the class's conjugator P, and
+each has a closed form in the columns u = a*x + c and v = b*x + d of P:
+(u^D, v^D), (u^p - u v^(p-1), v^p), (u^2 + b v^2, u v), and for type 4,
+with t and T the roots of x^2 - x - c (so T^2 = T + c and t + T = 1),
+num - t*den = (u + T v)^D: writing (u + T v)^D = X0 + X1*T over GF(q),
+num = X0 + X1 and den = X1.  Each power of a linear form is read term by
+term from Lucas's theorem (polynomials._lin_pow), so q_map builds the pair
+in O(D) term operations.  Its two checks, one gcd and one substitute_mobius
+of the map by the class itself, stay at O(D^2) and run the other kernel,
+Taylor shifts, so they also cross-check the construction.
 
 Which F give an irreducible transform is decided from F alone, with no
 irreducibility test on the degree-D*m result.  The Moebius change keeps
@@ -31,14 +38,15 @@ A norm takes the test down to GF(q) or GF(q^2):
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb, gcd as int_gcd
+from math import gcd as int_gcd
 
 from .fields import is_square, trace
-from .polynomials import (Poly, _form, _logs, _mobius_form, _reducer,
+from .polynomials import (Poly, _add_logs, _columns, _form, _from_logs,
+                          _lin_pow, _logs, _mobius_form, _mul_logs, _reducer,
                           _rem_logs, _same, divrem,
                           enumerate_monic_irreducibles, gcd, monicize)
 from .projective import (TYPE1, TYPE2, TYPE3, ContractError, Mat2, ProjMat,
-                         ReducedForm, lucas, reduce)
+                         ReducedForm, reduce)
 
 
 class RationalMap(namedtuple("RationalMap", "num den degree")):
@@ -59,49 +67,99 @@ class RationalMap(namedtuple("RationalMap", "num den degree")):
 QConstruction = namedtuple("QConstruction", "map source")
 
 
-def _type4_reduced_pair(rf: ReducedForm, D: int) -> tuple[Poly, Poly]:
-    """g = (T(x+T)^D - t(x+t)^D)/(T-t) and h = ((x+T)^D - (x+t)^D)/(T-t)
-    for t and T the roots of x^2 - x - c in GF(q^2); both lie over GF(q).
+def _log_dot(spec, a: int, b: int, c: int, d: int) -> int:
+    # log(g^a g^b + g^c g^d), reduced, any of the four -1 for a zero factor
+    m = spec.order - 1
+    s = a + b if a >= 0 and b >= 0 else -1
+    t = c + d if c >= 0 and d >= 0 else -1
+    if s < 0 or t < 0:
+        s = max(s, t)
+        return s % m if s >= 0 else -1
+    z = spec.zech[(t - s) % m]
+    return (s + z) % m if z >= 0 else -1
 
-    By the binomial theorem g_k = C(D,k) s(D-k+1) and h_k = C(D,k) s(D-k)
-    with s(j) = (T^j - t^j)/(T-t), which is lucas(rf.reduced): t and T are
-    the eigenvalues of the reduced [[0,1],[c,1]], and s(D) = 0 is its first
-    zero after s(0) since t^D = T^D.  C(D,k) is read mod p, an element of
-    the prime field whose encoding is itself."""
-    spec = rf.reduced.spec
-    s = lucas(rf.reduced)
-    if len(s) != D + 2:
-        raise ContractError("s(D) must vanish first: t^D = T^D in GF(q)")
-    binom = [spec.from_encoding(comb(D, k) % spec.p) for k in range(D + 1)]
-    g = Poly(spec, [(b * s[D - k + 1]).n for k, b in enumerate(binom)])
-    h = Poly(spec, [(b * s[D - k]).n for k, b in enumerate(binom)])
-    if not (g.degree == D and g.is_monic and h.degree == D - 1):
-        raise ContractError("type-4 pair must have degrees D (monic) and D-1")
-    return g, h
+
+def _pair_mul(spec, lt: int, x: tuple, y: tuple) -> tuple:
+    # x*y in GF(q)(T), T^2 = T + g^lt, each a pair of logs (of z0, z1 for
+    # z0 + z1*T): (x0y0 + c x1y1) + (x0y1 + x1(y0 + y1))T
+    (x0, x1), (y0, y1) = x, y
+    return (_log_dot(spec, x0, y0, x1, y1 + lt if y1 >= 0 else -1),
+            _log_dot(spec, x0, y1, x1, _log_dot(spec, y0, 0, y1, 0)))
+
+
+def _type4_pair(spec, lt: int, u: tuple, v: tuple, D: int) -> tuple[list, list]:
+    # num = X0 + X1 and den = X1, as logs, for L^D = X0 + X1*T with L = u +
+    # T*v = alpha*x + beta over GF(q)(T), T^2 = T + g^lt: the x^k coefficient
+    # of L^D is C(D, k) beta^D gamma^k for gamma = alpha/beta, one pair
+    # product per k; C(D, k) mod p are the logs of (x + 1)^D.  beta is not
+    # zero: u and v are columns of an invertible matrix
+    m = spec.order - 1
+    alpha, beta = (u[0], v[0]), (u[1], v[1])
+    # 1/beta = conj(beta)/N(beta), conj(T) = 1 - T: conj(c + dT) = (c + d) - dT
+    conj = (_log_dot(spec, beta[0], 0, beta[1], 0),
+            (beta[1] + spec.neg) % m if beta[1] >= 0 else -1)
+    norm = _pair_mul(spec, lt, beta, conj)[0]      # in GF(q), nonzero
+    gamma = tuple((x - norm) % m if x >= 0 else -1
+                  for x in _pair_mul(spec, lt, alpha, conj))
+    z, e = (0, -1), D                              # z = beta^D
+    while e:
+        if e & 1:
+            z = _pair_mul(spec, lt, z, beta)
+        e >>= 1
+        if e:
+            beta = _pair_mul(spec, lt, beta, beta)
+    num, den = [], []
+    for b in _lin_pow(spec, 0, 0, D):
+        x0, x1 = z
+        den.append((x1 + b) % m if x1 >= 0 and b >= 0 else -1)
+        num.append(_log_dot(spec, x0, b, x1, b))
+        z = _pair_mul(spec, lt, z, gamma)
+    return num, den
+
+
+def _q_pair(rf: ReducedForm, D: int) -> tuple[list, list]:
+    """The logs of num and den: the reduced pair of rf's type as forms of
+    degree D in the columns u = a*x + c and v = b*x + d of the conjugator,
+    the pair substitute_mobius gives, each a Lucas power (_lin_pow) or a
+    small combination of them: (u^D, v^D) for type 1, (u^p - u v^(p-1), v^p)
+    for type 2, (u^2 + b v^2, u v) for type 3, and for type 4 the two
+    GF(q)-coordinates of the power (u + T v)^D, T^2 = T + c."""
+    spec = rf.conjugator.spec
+    u, v = _columns(spec, rf.conjugator)
+    kind = rf.info.kind
+    if kind == TYPE1:
+        return _lin_pow(spec, *u, D), _lin_pow(spec, *v, D)
+    if kind == TYPE2:                                      # D = p
+        uv = _mul_logs(spec, _lin_pow(spec, *u, 1), _lin_pow(spec, *v, D - 1))
+        return (_add_logs(spec, _lin_pow(spec, *u, D), uv, spec.neg),
+                _lin_pow(spec, *v, D))
+    param = spec.log[rf.info.param.n]
+    if kind == TYPE3:
+        return (_add_logs(spec, _lin_pow(spec, *u, 2), _lin_pow(spec, *v, 2), param),
+                _mul_logs(spec, _lin_pow(spec, *u, 1), _lin_pow(spec, *v, 1)))
+    return _type4_pair(spec, param, u, v, D)
 
 
 def q_map(m: Mat2) -> QConstruction:
-    """Q = Q_red of the class of m after the Moebius change by its conjugator."""
+    """Q = Q_red of the class of m after the Moebius change by its conjugator,
+    from the closed forms of the module docstring (_q_pair, O(D) term
+    operations) and scaled so its degree-D side is monic.  Every call checks
+    it at O(D^2) on the other kernel: num and den must be coprime (one gcd),
+    and the pair must be fixed by m's own Moebius substitution, which
+    polynomials._mobius_form computes by Taylor shifts.  A failed check
+    raises ContractError."""
     cls = ProjMat(m)
     if cls.is_identity():
         raise ValueError("the identity class has no rational map")
     D = cls.order()
     rf = reduce(m)
-    spec, kind = m.spec, rf.info.kind
-    if kind == TYPE1:
-        red = Poly.monomial(spec, spec.one, D), Poly.one(spec)
-    elif kind == TYPE2:                                    # D = p
-        red = Poly.monomial(spec, spec.one, D) - Poly.x(spec), Poly.one(spec)
-    elif kind == TYPE3:
-        red = Poly(spec, (rf.info.param.n, 0, 1)), Poly.x(spec)
-    else:
-        red = _type4_reduced_pair(rf, D)
-    num, den, _ = substitute_mobius(RationalMap(*red, D), rf.conjugator)
+    spec = m.spec
+    num, den = (_from_logs(spec, f) for f in _q_pair(rf, D))
 
     # one scalar on the pair: make the degree-D side monic
+    if max(num.degree, den.degree) != D:
+        raise ContractError("the map degree must be the larger degree of num and den")
     anchor = den if den.degree == D else num
-    if anchor.degree != D:
-        raise ContractError("neither side realizes the map degree")
     inv = anchor.lc().inverse()
     num, den = num.scale(inv), den.scale(inv)
 

@@ -73,8 +73,8 @@ def test_wrong_square_root_fails_the_root_check_under_optimize():
         ["classify", "--p", "7", "--matrix", "0,1,3,0"])
 
 def test_failed_map_check_exits_one_under_optimize():
-    # a Moebius substitution that swaps num and den, both where it builds the
-    # map and where it checks it, breaks the fixed-point check inside q_map
+    # a Moebius substitution that swaps num and den breaks the fixed-point
+    # check inside q_map, the one substitution it makes
     _assert_internal_failure_under_optimize(
         "rational.substitute_mobius = lambda Q, m: rational.RationalMap("
         "Q.den, Q.num, Q.degree)",
@@ -97,7 +97,7 @@ def test_one_scaled_side_fails_the_map_check_under_optimize(side, argv):
 
 def test_failed_order_check_exits_one_under_optimize():
     # with no admissible divisors the order 4 of diag(2, 1) over GF(5) is
-    # rejected by projective.lucas
+    # rejected by the Lucas walk, projective._lucas_walk
     _assert_internal_failure_under_optimize(
         "projective.divisors = lambda n: [1]",
         ["classify", "--p", "5", "--matrix", "2,0,0,1"])

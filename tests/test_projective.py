@@ -5,12 +5,19 @@ import pytest
 
 from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       Poly, ProjMat, all_classes, classify, element_of_order,
-                      is_square, lucas, make_field, power_closed_form, proj_eq,
+                      is_square, make_field, power_closed_form, proj_eq,
                       reduce, reduced_type1, reduced_type2, reduced_type4,
                       sigma_product)
 from pgl2poly import projective
 from pgl2poly.fields import FieldSpec
-from pgl2poly.projective import ContractError, lucas_order
+from pgl2poly.projective import ContractError, _lucas_walk, lucas_order
+
+
+def lucas_terms(m):
+    # u_0, ..., u_D and mu of m's Lucas sequence as Felts, from the walk's logs
+    spec = m.spec
+    return [Felt(spec, spec.exp[k]) if k >= 0 else spec.zero
+            for k in _lucas_walk(m)]
 
 
 def _rand_matrix(spec, rng):
@@ -247,7 +254,7 @@ def test_lucas_matches_repeated_products(p, s):
         if cls.is_identity():
             continue
         A = cls.rep
-        u = lucas(A)
+        u = lucas_terms(A)
         D = len(u) - 2
         assert D == power_loop_order(cls)
         assert lucas_order(A) == (D, u[-1])
@@ -261,7 +268,7 @@ def test_lucas_matches_repeated_products(p, s):
             power = power * A
 
 def felt_lucas(m):
-    # reference: lucas(m) by the Felt recurrence u_(j+1) = tr*u_j - det*u_(j-1),
+    # reference: lucas_terms(m) by the Felt recurrence u_(j+1) = tr*u_j - det*u_(j-1),
     # two products per step, with the walk's two checks
     if m.is_scalar():
         raise ValueError("a scalar matrix has no Lucas sequence")
@@ -280,7 +287,7 @@ def felt_lucas(m):
 def assert_walk_matches_felt_lucas(m):
     u = felt_lucas(m)
     D = len(u) - 2
-    assert lucas(m) == u
+    assert lucas_terms(m) == u
     assert lucas_order(m) == (D, u[-1])
     assert ProjMat(m).order() == D
 
@@ -324,7 +331,7 @@ def test_lucas_walk_refuses_an_inadmissible_order(monkeypatch, F5):
     # with no admissible divisors the order 4 of diag(2, 1) is refused
     monkeypatch.setattr(projective, "divisors", lambda n: [1])
     m = Mat2.from_encodings(F5, (2, 0, 0, 1))
-    for walk in (felt_lucas, lucas, lucas_order, lambda m: ProjMat(m).order()):
+    for walk in (felt_lucas, lucas_terms, lucas_order, lambda m: ProjMat(m).order()):
         with pytest.raises(ContractError, match="outside the admissible divisor set"):
             walk(m)
 
@@ -334,7 +341,7 @@ def test_lucas_walk_refuses_an_order_past_q_plus_one():
     spec = FieldSpec(5, 1, (0, 1))
     spec.zech = [max(z, 0) for z in spec.zech]
     m = Mat2.from_encodings(spec, (0, 1, 4, 1))
-    for walk in (felt_lucas, lucas, lucas_order, lambda m: ProjMat(m).order()):
+    for walk in (felt_lucas, lucas_terms, lucas_order, lambda m: ProjMat(m).order()):
         with pytest.raises(ContractError, match="exceeded q"):
             walk(m)
 
@@ -342,7 +349,7 @@ def test_lucas_rejects_scalar_matrices(F2, F5):
     # a*I has u_j = j*a^(j-1), first zero at j = p: no order to read off
     for m in (Mat2.identity(F2), Mat2.identity(F5).scale(F5.from_encoding(3))):
         with pytest.raises(ValueError):
-            lucas(m)
+            lucas_terms(m)
 
 def test_order_cost_is_two_products_per_power(monkeypatch):
     # the order steps its two-term recurrence on logs, one Zech addition per

@@ -10,10 +10,10 @@ from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
                       is_irreducible, is_square, make_field, monicize, q_map,
                       reduce, reduced_type1, reduced_type2, reduced_type3,
                       reduced_type4, substitute_mobius, transform, try_descend)
-from pgl2poly import polynomials, rational
-from pgl2poly.rational import _type4_reduced_pair
+from pgl2poly import all_classes, polynomials, rational
 from pgl2poly.verify import _random_matrix, type_representatives
 from test_polynomials import _linear_forms
+from test_projective import lucas_terms
 
 
 def test_q_map_worked_example_q3(F3):
@@ -61,6 +61,44 @@ def test_q_map_reduced_forms_specialize():
     F3 = make_field(3, 1)
     Q4 = q_map(reduced_type4(F3, F3.one)).map
     assert Q4.num.is_monic and Q4.num.degree == 4 and Q4.den.degree == 3
+
+def _type4_reduced_pair(rf, D):
+    # g = (T(x+T)^D - t(x+t)^D)/(T-t) and h = ((x+T)^D - (x+t)^D)/(T-t) for
+    # t and T the roots of x^2 - x - c, by the binomial theorem: g_k =
+    # C(D,k) s(D-k+1) and h_k = C(D,k) s(D-k) with s(j) = (T^j - t^j)/(T-t),
+    # the Lucas sequence of the reduced [[0,1],[c,1]], whose first zero after
+    # s(0) is s(D); C(D,k) is read mod p, a prime-field element whose
+    # encoding is itself
+    spec = rf.reduced.spec
+    s = lucas_terms(rf.reduced)
+    if len(s) != D + 2:
+        raise ContractError("s(D) must vanish first: t^D = T^D in GF(q)")
+    binom = [spec.from_encoding(math.comb(D, k) % spec.p) for k in range(D + 1)]
+    g = Poly(spec, [(b * s[D - k + 1]).n for k, b in enumerate(binom)])
+    h = Poly(spec, [(b * s[D - k]).n for k, b in enumerate(binom)])
+    assert g.degree == D and g.is_monic and h.degree == D - 1
+    return g, h
+
+def _dense_q_map(m):
+    # the construction q_map replaced: the reduced pair of the type (g and h
+    # of type 4 from the Lucas sequence and C(D, k)), one dense
+    # substitute_mobius by the conjugator (Taylor shifts, O(D^2)), then the
+    # monic scaling; q_map's checks left out
+    D = ProjMat(m).order()
+    rf = reduce(m)
+    spec, kind = m.spec, rf.info.kind
+    if kind == TYPE1:
+        red = Poly.monomial(spec, spec.one, D), Poly.one(spec)
+    elif kind == TYPE2:
+        red = Poly.monomial(spec, spec.one, D) - Poly.x(spec), Poly.one(spec)
+    elif kind == TYPE3:
+        red = Poly(spec, (rf.info.param.n, 0, 1)), Poly.x(spec)
+    else:
+        red = _type4_reduced_pair(rf, D)
+    num, den, _ = substitute_mobius(RationalMap(*red, D), rf.conjugator)
+    anchor = den if den.degree == D else num
+    inv = anchor.lc().inverse()
+    return RationalMap(num.scale(inv), den.scale(inv), D), rf
 
 def _reference_q_map(m):
     # the map built per type from the conjugator's linear forms l1 = a*x + c
@@ -110,6 +148,117 @@ def test_q_map_matches_the_per_type_construction(p, s):
 def test_q_map_is_deterministic(F5):
     A = Mat2.from_encodings(F5, (1, 2, 3, 2))
     assert q_map(A).map == q_map(A).map
+
+
+# -- the Lucas construction against the dense one it replaced ---------------
+
+def _assert_q_map_matches_dense(M):
+    Q, rf = q_map(M)
+    want, want_rf = _dense_q_map(M)
+    assert (Q.num, Q.den, Q.degree) == (want.num, want.den, want.degree), M
+    assert rf == want_rf
+    return Q.degree, rf
+
+# GF(49) has 117,599 non-identity classes, about 100 s in all, so Tier-1
+# takes every 47th of them and the full sweep runs with the slow tests
+EVERY_CLASS_FIELDS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (7, 1, 1),
+                      (2, 3, 1), (3, 2, 1), (5, 2, 1), (3, 3, 1), (7, 2, 47),
+                      pytest.param(7, 2, 1, marks=pytest.mark.slow)]
+
+@pytest.mark.parametrize("p,s,stride", EVERY_CLASS_FIELDS)
+def test_q_map_matches_the_dense_construction_on_every_class(p, s, stride):
+    # every non-identity class (or every stride-th): every type, every order
+    # (D >= p included, as 26 and 28 over GF(27)), and conjugators with a
+    # zero entry, so a zero coefficient in u = a*x + c or v = b*x + d
+    spec = make_field(p, s)
+    orders, zeros = set(), set()
+    for cls in all_classes(spec)[::stride]:
+        if not cls.is_identity():
+            D, rf = _assert_q_map_matches_dense(cls.rep)
+            orders.add(D)
+            zeros |= {(rf.info.kind, i)
+                      for i, x in enumerate(rf.conjugator.entries()) if not x}
+    q = spec.order
+    assert orders == {p} | {d for d in range(2, q + 2)
+                            if (q - 1) % d == 0 or (d > 2 and (q + 1) % d == 0)}
+    assert {i for _, i in zeros} == {0, 1, 2, 3}          # a, b, c and d
+    assert {k for k, _ in zeros} == ({TYPE1, TYPE2, TYPE3, TYPE4}
+                                     - ({TYPE1} if q == 2 else set())
+                                     - ({TYPE3} if p == 2 else set()))
+
+def _assert_hidden_classes_match(p, s, conjugates):
+    # the reduced form and hidden conjugates of a class of every admissible
+    # order; returns the orders
+    spec = make_field(p, s)
+    q = spec.order
+    rng = random.Random(q)
+    orders = [spec.p] + [d for d in range(2, q + 2)
+                         if (q - 1) % d == 0 or (d > 2 and (q + 1) % d == 0)]
+    for D in orders:
+        R = element_of_order(spec, D).rep
+        for P in [Mat2.identity(spec)] + [_random_matrix(spec, rng)
+                                          for _ in range(conjugates)]:
+            assert _assert_q_map_matches_dense(P * R * P.inverse())[0] == D
+    return set(orders)
+
+@pytest.mark.parametrize("p,s,some", [(3, 3, {26, 28}), (7, 2, {24, 25, 50}),
+                                      (101, 1, {100, 101, 102})])
+def test_q_map_matches_the_dense_construction_on_hidden_classes(p, s, some):
+    assert some <= _assert_hidden_classes_match(p, s, conjugates=3)
+
+@pytest.mark.slow
+def test_q_map_matches_the_dense_construction_at_large_order():
+    # orders up to q + 1 = 1022
+    assert 1022 in _assert_hidden_classes_match(1021, 1, conjugates=1)
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (3, 2), (5, 2)])
+def test_lin_pow_matches_repeated_products(p, s):
+    # (a*x + c)^e for every e <= 3p^2, a = 0 and c = 0 included, against the
+    # Poly powers by one linear factor at a time
+    ring = make_field(p, s)
+    g, last = ring.from_encoding(ring.exp[1]), ring.from_encoding(ring.order - 1)
+    values = {ring.zero, ring.one, g, last, -g}
+    for a in values:
+        for c in values:
+            if not a and not c:
+                continue
+            lin, power = Poly(ring, (c.n, a.n)), Poly.one(ring)
+            for e in range(3 * p * p + 1):
+                got = polynomials._lin_pow(ring, ring.log[a.n], ring.log[c.n], e)
+                assert got == polynomials._logs(power), (a, c, e)
+                power = power * lin
+
+def test_q_map_builds_without_a_shift_and_substitutes_once(monkeypatch):
+    # the pair is built from Lucas powers with no Taylor shift; the one
+    # substitute_mobius, and its shifts, are the fixed-point check
+    calls = []
+    shift, sub = polynomials._taylor_shift, rational.substitute_mobius
+    monkeypatch.setattr(polynomials, "_taylor_shift",
+                        lambda *args: calls.append("shift") or shift(*args))
+    monkeypatch.setattr(rational, "substitute_mobius",
+                        lambda *args: calls.append("substitute") or sub(*args))
+    spec = make_field(7, 2)
+    rng = random.Random(5)
+    shifts = 0
+    for _, R in type_representatives(spec):
+        for P in (Mat2.identity(spec), _random_matrix(spec, rng)):
+            calls.clear()
+            q_map(P * R * P.inverse())
+            assert calls.count("substitute") == 1 and calls[0] == "substitute"
+            shifts += calls.count("shift")
+    assert shifts                                    # the check's shifts are seen
+
+
+def test_a_side_above_the_map_degree_is_a_contract_error(monkeypatch, F5):
+    # num times x^(D+1) next to a den of degree D: the substitution would
+    # refuse the map as invalid input, so q_map refuses the pair first
+    M = Mat2.from_encodings(F5, (2, 1, 1, 1))
+    assert q_map(M).map.den.degree == q_map(M).map.degree
+    monkeypatch.setattr(rational, "_q_pair", lambda rf, D, pair=rational._q_pair:
+                        (lambda num, den: ([-1] * (D + 1) + num, den))(*pair(rf, D)))
+    with pytest.raises(ContractError, match="larger degree"):
+        q_map(M)
 
 
 def test_substitute_translation(F3):
