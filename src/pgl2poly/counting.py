@@ -22,10 +22,9 @@ from __future__ import annotations
 from math import gcd as int_gcd
 
 from .numutil import divisors, factorization
-from .polynomials import (Poly, _frobenius, _from_logs, _has_root, _logs,
-                          divides, gcd)
+from .polynomials import Poly, _frobenius, _from_logs, _logs, gcd
 from .projective import (IDENTITY, TYPE1, TYPE2, ContractError, Mat2, ProjMat,
-                         TypeInfo, classify, reduced_type4)
+                         TypeInfo, classify)
 from .action import F_poly, invariant_set
 
 
@@ -96,8 +95,6 @@ def count_invariants_formula(m: Mat2, n: int) -> int:
 def count_invariants_bruteforce(cls: ProjMat, n: int) -> int:
     """Oracle: the invariants of degree n found in the eigenspaces of the
     action matrix, from the definition of the action alone."""
-    if n < 2:
-        raise ValueError("invariants have degree >= 2")
     return len(invariant_set(cls, n))
 
 
@@ -137,40 +134,3 @@ def count_via_criterion(m: Mat2, mm: int) -> int:
             total += count_factors_of_degree(F_poly(m**j, mm), D * mm)
     return total
 
-
-def quadratic_factor_of_F(c, j: int, mm: int):
-    """The quadratic irreducible factor x^2 + c^-1 x - c^-1 of the criterion
-    polynomial of [[0,1],[c,1]]^j at exponent mm, present exactly when mm is
-    even; checks the degree and linear-freeness facts along the way."""
-    spec = c.spec
-    base = reduced_type4(spec, c)
-    D = ProjMat(base).order()
-    if j < 1 or j >= D or int_gcd(j, D) != 1:
-        raise ValueError("j must lie in [1, D-1] and be prime to D")
-    F = F_poly(base**j, mm)
-    q = spec.order
-    if F.degree != q**mm + 1:
-        raise ContractError("criterion polynomial has degree q^m + 1")
-    if _has_root(spec, _logs(F)):
-        raise ContractError("criterion polynomial must be free of linear factors")
-    cinv = c.inverse()
-    quad = Poly(spec, ((-cinv).n, cinv.n, 1))
-    if mm % 2 == 0:
-        if not divides(quad, F):
-            raise ContractError("even exponent must admit the quadratic factor")
-        return quad
-    if count_factors_of_degree(F, 2):
-        raise ContractError("odd exponent admits no quadratic factor")
-    return None
-
-
-def asymptotic_ratio(m: Mat2, mm: int) -> Fraction:
-    """The exact ratio count * D * m / (q^m * phi(D)), which tends to 1."""
-    from fractions import Fraction          # kept out of the start-up imports
-    cls = ProjMat(m)
-    D = cls.order()
-    if D * mm <= 2:
-        raise ValueError("ratio requires D*m > 2")
-    count = count_invariants_formula(m, D * mm)
-    q = m.spec.order
-    return Fraction(count * D * mm, q**mm * euler_phi(D))

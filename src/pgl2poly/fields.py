@@ -275,9 +275,6 @@ class ExtSpec:
             raise ValueError(f"encoding {n} out of range [0, {self.order})")
         return ExtElt(self, self.base.from_encoding(n % q), self.base.from_encoding(n // q))
 
-    def elements(self) -> Iterator["ExtElt"]:
-        return map(self.from_encoding, range(self.order))
-
 
 class ExtElt:
     """An element u + v*w of GF(q^2)."""
@@ -317,7 +314,8 @@ class ExtElt:
         return ExtElt(ext, uu - ext.m0 * vv, cross - ext.m1 * vv)
 
     def conjugate(self) -> "ExtElt":
-        """The image under w -> -m1 - w (the other root of the modulus)."""
+        """z^q: the nontrivial automorphism of GF(q^2) over GF(q), which
+        swaps the two roots w and -m1 - w of the modulus."""
         return ExtElt(self.ext, self.u - self.ext.m1 * self.v, -self.v)
 
     def norm(self) -> Felt:
@@ -405,8 +403,3 @@ def embed(x: Felt) -> ExtElt:
 def try_descend(z: ExtElt) -> Felt | None:
     """The base-field value of z, or None when z lies outside the base field."""
     return z.u if not z.v else None
-
-def frobenius_q(z: ExtElt) -> ExtElt:
-    """z^q: the nontrivial automorphism of GF(q^2) over GF(q), which swaps
-    the two roots w and -m1 - w of the modulus."""
-    return z.conjugate()

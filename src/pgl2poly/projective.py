@@ -1,5 +1,5 @@
 """GL2/PGL2 over GF(q): arithmetic, orders, type classification, reduction
-to canonical form, the sigma product and closed-form powers.
+to canonical form and the sigma product.
 
 Every non-identity class is conjugate to exactly one kind of reduced matrix:
 diag(a, 1) when the eigenvalues are distinct in GF(q) (type 1), the unipotent
@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 
 from .fields import (ExtElt, Felt, FieldSpec, artin_schreier_root,
-                     element_of_mult_order, embed, frobenius_q, make_ext, sqrt,
-                     try_descend)
+                     element_of_mult_order, embed, make_ext, sqrt, try_descend)
 from .numutil import divisors, power
 
 IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4 = 0, 1, 2, 3, 4
@@ -388,39 +387,6 @@ def sigma_product(m: Mat2, m0: Mat2) -> Mat2:
     return out
 
 
-def power_closed_form(c: Felt, j: int) -> Mat2:
-    """[[0,1],[c,1]]^j through the eigenvalue alpha of x^2 - x - c in GF(q^2),
-    descended back to GF(q)."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    spec = c.spec
-    base = reduced_type4(spec, c)       # validates invertibility (c != 0)
-    roots = _quadratic_roots(-c, -spec.one)
-    if not roots[0].v:
-        raise ValueError("x^2 - x - c must be irreducible")
-    alpha, aq = roots                   # the conjugate root is alpha^q
-    delta = (aq - alpha).inverse()
-    powers = {e: alpha**e for e in {j, j + 1}}
-    qpowers = {e: aq**e for e in {j, j + 1}}
-    ent_a = (powers[j] * aq - qpowers[j] * alpha) * delta
-    ent_b = (qpowers[j] - powers[j]) * delta
-    ent_c = (powers[j + 1] * aq - qpowers[j + 1] * alpha) * delta
-    ent_d = (qpowers[j + 1] - powers[j + 1]) * delta
-    descended = [try_descend(z) for z in (ent_a, ent_b, ent_c, ent_d)]
-    if any(x is None for x in descended):
-        raise ContractError("entries must lie in GF(q)")
-    a, b, cc, d = descended
-    if not (a or b or cc or d):
-        raise ContractError("zero matrix from closed form")
-    result = Mat2(a, b, cc, d)
-    D = ProjMat(base).order()
-    if j % D and not result.c:
-        raise ContractError("lower-left entry must be nonzero off multiples of D")
-    if not j % D and not result.is_scalar():
-        raise ContractError("multiples of D must give a scalar matrix")
-    return result
-
-
 def element_of_order(spec: FieldSpec, D: int) -> ProjMat:
     """A class of order exactly D, in reduced form: diag(a,1) with ord(a)=D
     when D | q-1, the unipotent when D = p, and [[0,1],[c,1]] built from a
@@ -435,7 +401,7 @@ def element_of_order(spec: FieldSpec, D: int) -> ProjMat:
     elif D > 2 and (q + 1) % D == 0:
         ext = make_ext(spec)
         beta = element_of_mult_order(ext, (q - 1) * D)
-        tr = try_descend(beta + frobenius_q(beta))
+        tr = try_descend(beta + beta.conjugate())
         if not tr:                        # None or zero
             raise ContractError("trace of beta must be a nonzero scalar")
         alpha = beta * embed(tr).inverse()

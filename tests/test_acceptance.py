@@ -10,11 +10,13 @@ from math import gcd as int_gcd
 
 from pgl2poly import (Mat2, Poly, ProjMat, all_classes,
                       count_invariants_bruteforce, divides, is_irreducible,
-                      make_field, power_closed_form, q_map, quadratic_factor_of_F,
-                      reduced_type4, substitute_mobius, F_poly, asymptotic_ratio)
+                      make_field, q_map, reduced_type3, reduced_type4,
+                      smallest_nonsquare, substitute_mobius, F_poly)
 from pgl2poly.verify import (suite_action_laws, suite_counting,
                              suite_criterion, suite_generation,
                              suite_noncyclic, suite_pgroup, suite_sigma)
+from test_counting import asymptotic_ratio, quadratic_factor_of_F
+from test_projective import power_closed_form
 
 
 def _finish(num, name, ok, detail=""):
@@ -170,7 +172,6 @@ def test_criterion_09_type4_structure():
 def test_criterion_10_asymptotics():
     t0 = time.monotonic()
     spec = make_field(3, 1)
-    from pgl2poly import reduced_type3, smallest_nonsquare
     C = reduced_type3(spec, smallest_nonsquare(spec))
     ok = True
     ratios = []

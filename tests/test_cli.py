@@ -170,7 +170,8 @@ def test_cli_import_skips_typing_dataclasses_and_inspect():
     assert res.stdout.strip() == "[]"
 
 def test_cli_import_skips_fractions_and_decimal():
-    # fractions (which loads decimal) serves only counting.asymptotic_ratio
+    # no module of the package imports fractions (which loads decimal); this
+    # keeps a new import of either from slowing every CLI start
     code = ("import sys\n"
             "import pgl2poly.cli\n"
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")

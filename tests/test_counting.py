@@ -5,15 +5,16 @@ from math import gcd as int_gcd
 
 import pytest
 
-from pgl2poly import (F_poly, Mat2, Poly, ProjMat, asymptotic_ratio,
-                      classify, count_factors_of_degree, divides,
+from pgl2poly import (ContractError, F_poly, Mat2, Poly, ProjMat, classify,
+                      count_factors_of_degree, divides,
                       count_invariants_bruteforce, count_invariants_formula,
                       count_via_criterion, enumerate_monic_irreducibles, eta,
                       euler_phi, invariant_set,
                       make_field, mobius_inversion, moebius_mu,
-                      principal_character, quadratic_factor_of_F,
-                      reduced_type2, reduced_type3, reduced_type4)
+                      principal_character, reduced_type2, reduced_type3,
+                      reduced_type4)
 from pgl2poly import polynomials
+from pgl2poly.polynomials import _has_root, _logs
 from pgl2poly.numutil import divisors
 from pgl2poly.verify import type_representatives
 
@@ -101,6 +102,10 @@ def test_bruteforce_zero_off_order_multiples(F2):
     cls = ProjMat(reduced_type4(F2, F2.one))
     for n in (4, 5, 7):
         assert count_invariants_bruteforce(cls, n) == 0
+
+def test_bruteforce_rejects_degree_below_two(F2):
+    with pytest.raises(ValueError):
+        count_invariants_bruteforce(ProjMat(reduced_type2(F2)), 1)
 
 
 def test_count_factors_examples(F2):
@@ -194,6 +199,43 @@ def test_count_via_criterion_needs_no_enumeration(monkeypatch, F2, F3, F5):
 def test_count_via_criterion_rejects_small(F2):
     with pytest.raises(ValueError):
         count_via_criterion(reduced_type2(F2), 1)
+
+
+def quadratic_factor_of_F(c, j: int, mm: int):
+    """The quadratic irreducible factor x^2 + c^-1 x - c^-1 of the criterion
+    polynomial of [[0,1],[c,1]]^j at exponent mm, present exactly when mm is
+    even; checks the degree and linear-freeness facts along the way."""
+    spec = c.spec
+    base = reduced_type4(spec, c)
+    D = ProjMat(base).order()
+    if j < 1 or j >= D or int_gcd(j, D) != 1:
+        raise ValueError("j must lie in [1, D-1] and be prime to D")
+    F = F_poly(base**j, mm)
+    q = spec.order
+    if F.degree != q**mm + 1:
+        raise ContractError("criterion polynomial has degree q^m + 1")
+    if _has_root(spec, _logs(F)):
+        raise ContractError("criterion polynomial must be free of linear factors")
+    cinv = c.inverse()
+    quad = Poly(spec, ((-cinv).n, cinv.n, 1))
+    if mm % 2 == 0:
+        if not divides(quad, F):
+            raise ContractError("even exponent must admit the quadratic factor")
+        return quad
+    if count_factors_of_degree(F, 2):
+        raise ContractError("odd exponent admits no quadratic factor")
+    return None
+
+
+def asymptotic_ratio(m: Mat2, mm: int) -> Fraction:
+    """The exact ratio count * D * m / (q^m * phi(D)), which tends to 1."""
+    cls = ProjMat(m)
+    D = cls.order()
+    if D * mm <= 2:
+        raise ValueError("ratio requires D*m > 2")
+    count = count_invariants_formula(m, D * mm)
+    q = m.spec.order
+    return Fraction(count * D * mm, q**mm * euler_phi(D))
 
 
 def test_quadratic_factor_even_exponent(F2):

@@ -5,9 +5,8 @@ import pytest
 
 from pgl2poly import (IDENTITY, TYPE1, TYPE2, TYPE3, TYPE4, Felt, Mat2,
                       Poly, ProjMat, all_classes, classify, element_of_order,
-                      is_square, make_field, power_closed_form, proj_eq,
-                      reduce, reduced_type1, reduced_type2, reduced_type4,
-                      sigma_product)
+                      is_square, make_field, proj_eq, reduce, reduced_type1,
+                      reduced_type2, reduced_type4, sigma_product, try_descend)
 from pgl2poly import projective
 from pgl2poly.fields import FieldSpec
 from pgl2poly.projective import ContractError, _lucas_walk, lucas_order
@@ -406,6 +405,39 @@ def test_sigma_det_identity_random(F5):
     for _ in range(100):
         A, B = _rand_matrix(F5, rng), _rand_matrix(F5, rng)
         assert sigma_product(A, B).det == A.det * B.det * B.det
+
+
+def power_closed_form(c: Felt, j: int) -> Mat2:
+    """[[0,1],[c,1]]^j through the eigenvalue alpha of x^2 - x - c in GF(q^2),
+    descended back to GF(q)."""
+    if j < 0:
+        raise ValueError("j must be >= 0")
+    spec = c.spec
+    base = reduced_type4(spec, c)       # validates invertibility (c != 0)
+    roots = projective._quadratic_roots(-c, -spec.one)
+    if not roots[0].v:
+        raise ValueError("x^2 - x - c must be irreducible")
+    alpha, aq = roots                   # the conjugate root is alpha^q
+    delta = (aq - alpha).inverse()
+    powers = {e: alpha**e for e in {j, j + 1}}
+    qpowers = {e: aq**e for e in {j, j + 1}}
+    ent_a = (powers[j] * aq - qpowers[j] * alpha) * delta
+    ent_b = (qpowers[j] - powers[j]) * delta
+    ent_c = (powers[j + 1] * aq - qpowers[j + 1] * alpha) * delta
+    ent_d = (qpowers[j + 1] - powers[j + 1]) * delta
+    descended = [try_descend(z) for z in (ent_a, ent_b, ent_c, ent_d)]
+    if any(x is None for x in descended):
+        raise ContractError("entries must lie in GF(q)")
+    a, b, cc, d = descended
+    if not (a or b or cc or d):
+        raise ContractError("zero matrix from closed form")
+    result = Mat2(a, b, cc, d)
+    D = ProjMat(base).order()
+    if j % D and not result.c:
+        raise ContractError("lower-left entry must be nonzero off multiples of D")
+    if not j % D and not result.is_scalar():
+        raise ContractError("multiples of D must give a scalar matrix")
+    return result
 
 
 def test_power_closed_form_small_example(F2):

@@ -16,10 +16,11 @@ import random
 import pytest
 
 from pgl2poly import (IDENTITY, TYPE2, Mat2, all_classes, classify, embed,
-                      make_ext, make_field, power_closed_form, projective,
-                      proj_eq, reduce, reduced_type2)
+                      make_ext, make_field, projective, proj_eq, reduce,
+                      reduced_type2)
 from pgl2poly.verify import _random_matrix
 from test_linalg import felt_nullspace
+from test_projective import power_closed_form
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,7 +33,8 @@ def scan_quadratic_roots(c0, c1):
     if roots:
         return roots
     e0, e1 = embed(c0), embed(c1)
-    outside = (z for z in make_ext(spec).elements()
+    ext = make_ext(spec)
+    outside = (z for z in map(ext.from_encoding, range(ext.order))
                if z.v and z * z + e1 * z + e0 == z.ext.zero)
     roots = list(itertools.islice(outside, 2))
     assert roots, "quadratic has no root in GF(q^2)"

@@ -267,11 +267,9 @@ def test_cache_scan_sees_decorators_and_assignments(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the dead-code rule: every top-level function, public or private, and every
-# method of a layer module has a caller in the package, except the three that
-# only the acceptance suite imports.  Dunders are exempt: operator protocol
-
-ACCEPTANCE_ONLY = {"counting.asymptotic_ratio", "counting.quadratic_factor_of_F",
-                   "projective.power_closed_form"}
+# method of a layer module has a caller in the package, with no exceptions;
+# checks that only tests call live in the tests.  Dunders are exempt: the
+# operator protocol calls them.
 
 
 def unloaded_functions(src_dir: str) -> set[str]:
@@ -302,7 +300,7 @@ def unloaded_functions(src_dir: str) -> set[str]:
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    assert unloaded_functions(SRC_DIR) == ACCEPTANCE_ONLY
+    assert unloaded_functions(SRC_DIR) == set()
 
 
 def test_caller_scan_sees_names_and_attributes(tmp_path):
