@@ -14,9 +14,9 @@ with t and T the roots of x^2 - x - c (so T^2 = T + c and t + T = 1),
 num - t*den = (u + T v)^D: writing (u + T v)^D = X0 + X1*T over GF(q),
 num = X0 + X1 and den = X1.  Each power of a linear form is read term by
 term from Lucas's theorem (polynomials._lin_pow), so q_map builds the pair
-in O(D) term operations.  Its two checks, one gcd and one substitute_mobius
-of the map by the class itself, stay at O(D^2) and run the other kernel,
-Taylor shifts, so they also cross-check the construction.
+in O(D) term operations.  Its O(D^2) check, a substitute_mobius of the map
+by the class itself, runs the other kernel, Taylor shifts, so it also checks
+the construction; coprimality follows from the fixed point (see q_map).
 
 Which F give an irreducible transform is decided from F alone, with no
 irreducibility test on the degree-D*m result.  The Moebius change keeps
@@ -144,10 +144,10 @@ def q_map(m: Mat2) -> QConstruction:
     """Q = Q_red of the class of m after the Moebius change by its conjugator,
     from the closed forms of the module docstring (_q_pair, O(D) term
     operations) and scaled so its degree-D side is monic.  Every call checks
-    it at O(D^2) on the other kernel: num and den must be coprime (one gcd),
-    and the pair must be fixed by m's own Moebius substitution, which
-    polynomials._mobius_form computes by Taylor shifts.  A failed check
-    raises ContractError."""
+    it: the pair must be fixed by m's own Moebius substitution, O(D^2) by
+    Taylor shifts in polynomials._mobius_form, and independent, which for a
+    fixed pair of degree D means coprime (see the comment at the test).  A
+    failed check raises ContractError."""
     cls = ProjMat(m)
     if cls.is_identity():
         raise ValueError("the identity class has no rational map")
@@ -164,7 +164,18 @@ def q_map(m: Mat2) -> QConstruction:
     num, den = num.scale(inv), den.scale(inv)
 
     out = RationalMap(num, den, D)
-    if gcd(num, den) != Poly.one(m.spec):
+    # Coprime once Q is fixed and not constant: <m> has order D in
+    # Aut(GF(q)(x)), so its fixed field has index D (Artin), and
+    # [GF(q)(x) : GF(q)(Q)] = deg Q in lowest terms (Lueroth); so D divides
+    # deg Q <= max(deg num, deg den) = D, and no common factor is left.  Q is
+    # constant exactly when a side is zero, or both have degree D (den is the
+    # monic anchor) and num = lc(num) * den.  This needs the fixed-point check
+    # below and the exact order: a D above the true order d would pass
+    # h * (num', den'), num'/den' of degree d and h of degree D - d fixed by m
+    # up to a scalar.  _lucas_walk's D is the first j >= 1 with u_j = 0, and
+    # m^j = u_j*m - det*u_(j-1)*I, m not scalar, is scalar only when u_j = 0.
+    if not num or not den or (num.degree == D == den.degree
+                              and num == den.scale(num.lc())):
         raise ContractError("num and den must be coprime")
     # fixed: sub = lam * (num, den), lam read off the monic side; for a
     # coprime pair, exactly when sub.num * den == sub.den * num

@@ -81,6 +81,16 @@ def test_failed_map_check_exits_one_under_optimize():
         ["qmap", "--p", "5", "--matrix", "0,1,4,1"],
         "map must be fixed by its own Moebius substitution")
 
+@pytest.mark.parametrize("pair", ["(num, num)", "(num, [])"])
+def test_dependent_pair_fails_the_coprime_check_under_optimize(pair):
+    # num is the side of degree D = 3 here: the pair num twice, or num over
+    # a zero den, is a constant map that only the independence test refuses
+    _assert_internal_failure_under_optimize(
+        "rational._q_pair = lambda rf, D, _q_pair=rational._q_pair: "
+        f"(lambda num, den: {pair})(*_q_pair(rf, D))",
+        ["qmap", "--p", "5", "--matrix", "0,1,4,1"],
+        "num and den must be coprime")
+
 @pytest.mark.parametrize("side,argv", [
     ("num", ["qmap", "--p", "7", "--matrix", "0,1,6,1"]),     # den of degree D
     ("den", ["qmap", "--p", "5", "--matrix", "0,1,4,1"]),     # num of degree D

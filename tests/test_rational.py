@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,8 @@ from pgl2poly import (TYPE1, TYPE2, TYPE3, TYPE4, ContractError, Mat2, Poly,
                       make_field, monicize, q_map, reduce, reduced_type1,
                       reduced_type2, reduced_type3, reduced_type4,
                       substitute_mobius, transform, try_descend)
-from pgl2poly import all_classes, polynomials, rational
+from pgl2poly import all_classes, linalg, polynomials, rational
+from pgl2poly.projective import lucas_order
 from pgl2poly.verify import _random_matrix, type_representatives
 from test_polynomials import _linear_forms
 from test_projective import lucas_terms
@@ -293,9 +295,9 @@ def test_fixed_point_identity_for_random_classes(F5):
         assert substitute_mobius(Q, A).normalized() == Q.normalized()
 
 
-def test_q_map_checks_lowest_terms_with_one_gcd(monkeypatch, F5):
-    # one gcd checks that num and den are coprime; the fixed point is one
-    # cross-multiplication and takes no normal form
+def test_q_map_checks_lowest_terms_with_no_gcd(monkeypatch, F5):
+    # coprimality follows from the fixed point and an independence test, and
+    # the fixed point is one comparison: no gcd and no normal form
     calls = []
     for name in ("gcd", "divrem"):
         monkeypatch.setattr(rational, name, lambda *args, _name=name,
@@ -305,8 +307,77 @@ def test_q_map_checks_lowest_terms_with_one_gcd(monkeypatch, F5):
                 reduced_type4(F5, F5.from_encoding(4))):
         calls.clear()
         Q = q_map(rep).map
-        assert calls.count("gcd") == 1 and calls.count("divrem") == 0
+        assert calls == []
         assert substitute_mobius(Q, rep).normalized() == Q.normalized()
+
+
+def _eigenspaces(spec, rep, D):
+    # a basis (logs) of each nonzero kernel of M - lam*I, M the degree-D
+    # action matrix of rep and lam a root of lam^D = mu^D, as in
+    # action.common_invariants
+    log, n = spec.log, spec.order - 1
+    mu = log[lucas_order(rep)[1].n]
+    M = polynomials.form_matrix(spec, rep, D)
+    for lam in log[1:]:
+        if (lam - mu) * D % n == 0:
+            rows = [row[:i] + (polynomials._add_logs(spec, row[i:i + 1], [lam], spec.neg)
+                               or [-1]) + row[i + 1:] for i, row in enumerate(M)]
+            basis = linalg.nullspace(spec, rows)
+            if basis:
+                yield [polynomials._from_logs(spec, b) for b in basis]
+
+def _combination(spec, basis, rng):
+    out = Poly.zero(spec)
+    for b in basis:
+        out = out + b.scale(spec.from_encoding(rng.randrange(spec.order)))
+    return out
+
+def test_fixed_pairs_of_full_degree_are_coprime():
+    # the theorem behind q_map's independence test: every independent pair
+    # (num, den) in one eigenspace of the degree-D action of a class of order
+    # D is fixed by the class, and when max(deg num, deg den) = D it is
+    # coprime; over every non-identity class of GF(2, 3, 4, 5, 7, 8, 9), on
+    # every two basis vectors and three seeded random pairs of combinations
+    rng = random.Random(34)
+    checked = 0
+    for p, s in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        spec = make_field(p, s)
+        one = Poly.one(spec)
+        for cls in all_classes(spec):
+            if cls.is_identity():
+                continue
+            D = cls.order()
+            for basis in _eigenspaces(spec, cls.rep, D):
+                pairs = list(itertools.combinations(basis, 2))
+                if len(basis) > 1:
+                    pairs += [(_combination(spec, basis, rng),
+                               _combination(spec, basis, rng)) for _ in range(3)]
+                for f, g in pairs:
+                    if (f and g and f.scale(g.lc()) != g.scale(f.lc())
+                            and max(f.degree, g.degree) == D):
+                        assert polynomials.gcd(f, g) == one, (cls, f, g)
+                        checked += 1
+    assert checked > 6000
+
+
+# one class of each type over GF(5), and the side of _q_pair of degree D
+DEGREE_D_SIDES = [((2, 0, 0, 1), 0), ((2, 1, 1, 1), 1), ((1, 2, 3, 4), 1),
+                  ((0, 1, 4, 1), 0)]
+
+@pytest.mark.parametrize("entries,top", DEGREE_D_SIDES)
+@pytest.mark.parametrize("pair", ["twice", "scaled", "zero-num", "zero-den"])
+def test_q_map_refuses_a_dependent_pair(monkeypatch, F5, entries, top, pair):
+    # the degree-D side twice, once scaled by the generator g, or with the
+    # other side zero: a constant map, which the fixed-point check alone
+    # would let through, must fail the independence test
+    M = Mat2.from_encodings(F5, entries)
+    f = rational._q_pair(reduce(M), ProjMat(M).order())[top]
+    g_f = [x if x < 0 else (x + 1) % (F5.order - 1) for x in f]
+    patched = {"twice": (f, f), "scaled": (g_f, f),
+               "zero-num": ([], f), "zero-den": (f, [])}[pair]
+    monkeypatch.setattr(rational, "_q_pair", lambda rf, D: patched)
+    with pytest.raises(ContractError, match="num and den must be coprime"):
+        q_map(M)
 
 
 def test_transform_examples(F2):

@@ -2,6 +2,7 @@
 draw, and the rule that the package holds no cache beyond a fixed few."""
 
 import ast
+import collections
 import functools
 import glob
 import os
@@ -64,6 +65,16 @@ def test_sampled_suites_refuse_before_any_draw(monkeypatch, capsys, suite):
         "error: the enumeration of degree 4 over GF(37) is too large: it needs "
         "q^n <= 2^20\n")
     assert not calls
+
+
+def test_qmap_fixed_point_suite_runs_one_gcd_per_class(monkeypatch, F3):
+    # q_map runs no gcd, so the suite's coprime-and-degree row is the last
+    # Euclid cross-check of the maps: one gcd for each of the 23 classes
+    calls, gcd = [], verify.poly_gcd
+    monkeypatch.setattr(verify, "poly_gcd", lambda f, g: calls.append(f) or gcd(f, g))
+    rows = verify.suite_qmap_fixed_point(F3)
+    assert all(r.passed for r in rows)
+    assert [r.detail for r in rows] == ["23 classes"] * 2 and len(calls) == 23
 
 
 @pytest.mark.parametrize("seed", [7, 12345])
@@ -272,10 +283,10 @@ def test_cache_scan_sees_decorators_and_assignments(tmp_path):
 # operator protocol calls them.
 
 
-def unloaded_functions(src_dir: str) -> set[str]:
-    """module.name for every top-level function, and module.Class.name for
-    every non-dunder method, of a module other than __init__ whose name no
-    such module loads, bare or as an attribute."""
+def _defined_and_loaded(src_dir: str) -> tuple[dict, set]:
+    """module.name -> name for every top-level function, and module.Class.name
+    -> name for every non-dunder method, of a module other than __init__; and
+    every name such a module loads, bare or as an attribute."""
     defined, loaded = {}, set()
     for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
         module = os.path.basename(path)[:-3]
@@ -296,11 +307,42 @@ def unloaded_functions(src_dir: str) -> set[str]:
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return defined, loaded
+
+
+def unloaded_functions(src_dir: str) -> set[str]:
+    """The keys of _defined_and_loaded whose name no module loads."""
+    defined, loaded = _defined_and_loaded(src_dir)
     return {key for key, name in defined.items() if name not in loaded}
 
 
 def test_every_public_function_has_a_caller_in_the_package():
     assert unloaded_functions(SRC_DIR) == set()
+
+
+# The scan above matches callers by bare name, so one load of a shared name
+# counts for every definition of it.  Each definition of these was seen
+# called by replaying the golden CLI cases with a call counter on it.
+SHARED_NAMES = {
+    "encode": "Felt, ExtElt, Mat2, ProjMat and Poly: the CLI's output, "
+              "sort keys and table keys",
+    "from_encoding": "FieldSpec and ExtSpec: decoding elements of GF(q) and GF(q^2)",
+    "inverse": "Felt, ExtElt, Mat2 and ProjMat: division, negative powers "
+               "and the conjugations of the verify suites",
+    "scale": "Mat2 and Poly: projective normalization in ProjMat and reduce, "
+             "and monic scaling",
+    "trace": "the function fields.trace (make_ext, the type-2 criterion) and "
+             "the property Mat2.trace (the Lucas walk)",
+}
+
+
+def test_names_defined_more_than_once_are_the_checked_few():
+    # a new shared name fails here until its every definition is seen called
+    # and the name is added above with where each one is used
+    counts = collections.Counter(_defined_and_loaded(SRC_DIR)[0].values())
+    shared = {name: n for name, n in counts.items() if n > 1}
+    assert set(shared) == set(SHARED_NAMES)
+    assert sum(shared.values()) == 15
 
 
 def test_caller_scan_sees_names_and_attributes(tmp_path):
